@@ -29,12 +29,7 @@ from .knots import (
     parse_knot,
 )
 from .reports import build_report, render_json, render_text
-from .towers import (
-    InvalidTowerError,
-    PreconditionError,
-    load_tower,
-    validate_tower,
-)
+from .towers import InvalidTowerError, PreconditionError, load_tower
 
 __all__ = ["main"]
 
@@ -125,9 +120,6 @@ def _run_diagram(args, out) -> int:
 
 
 def _run_tower_report(tower, as_json: bool, out) -> int:
-    report = validate_tower(tower)
-    if not report.ok:
-        raise InvalidTowerError(report)
     doc = build_report(tower)
     out.write(render_json(doc) if as_json else render_text(doc))
     return 0

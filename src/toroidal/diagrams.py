@@ -108,10 +108,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    @property
-    def arc_count(self) -> int:
-        return self.n
-
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
 

@@ -48,10 +48,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c: int) -> LaurentPoly:
-        return cls({0: c})
-
-    @classmethod
     def t_power(cls, n: int, coeff: int = 1) -> LaurentPoly:
         return cls({n: coeff})
 

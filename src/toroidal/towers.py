@@ -32,6 +32,11 @@ and when the outer torus has winding zero around the inner one, or is
 exactly unknotted, the preferred framing extends over the ambient space,
 so the inner core's knot type equals the pattern's.  Every other stage
 only yields the inequality above.
+
+The classifiers read one private analysis record.  ``_analyze`` walks the
+unrolled tower once for the validation report and the chain states, raises
+:class:`InvalidTowerError` on an invalid tower, and keeps the states with
+the cohomology profile and genus read off them.  A report builds one record.
 """
 
 from __future__ import annotations
@@ -214,7 +219,7 @@ class ValidationReport:
 
 
 class InvalidTowerError(ValueError):
-    """Raised by classifiers when the tower fails validation."""
+    """Raised by classifiers and the loader when the tower fails validation."""
 
     def __init__(self, report: ValidationReport):
         super().__init__(str(report))
@@ -331,7 +336,10 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     if stage.declared_genus is not None and stage.declared_genus < 0:
         bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {stage.declared_genus}")
 
-    trivial_delta = stage.pattern_delta is None or stage.pattern_delta.equal_up_to_unit(ONE)
+    if stage.concentric and stage.kind in (StageKind.SWALLOW, StageKind.WIND):
+        bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{stage.kind.value} stage cannot be concentric")
+
+    trivial_delta = stage.pattern_delta is None or stage.pattern_delta.is_unit()
     if stage.kind is StageKind.CORE_PARALLEL:
         if stage.winding != 1 or stage.pattern_genus != 0 or not trivial_delta:
             bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
@@ -340,8 +348,6 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     elif stage.kind is StageKind.SWALLOW:
         if stage.winding != 1:
             bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
-        if stage.concentric:
-            bad(ViolationKind.CONCENTRICITY_CONTRACT, "swallow stage cannot be concentric")
         if stage.knot is None:
             bad(ViolationKind.MALFORMED_STAGE, "swallow stage carries no knot")
         else:
@@ -380,6 +386,27 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     return out
 
 
+def _walk(tower: Tower) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
+    """The validation report, and the chain states before and after each stage."""
+    state, violations = _initial_state(tower)
+    if not tower.cycle:
+        violations.append(
+            Violation(ViolationKind.MALFORMED_STAGE, "cycle", "cycle must be nonempty")
+        )
+    states = [state]
+    first_pass_end = len(tower.prefix) + len(tower.cycle)  # later stages repeat checked ones
+    seen_chain: set[str] = set()
+    for i, (stage, where) in enumerate(_unrolled(tower, passes=2)):
+        if i < first_pass_end:
+            violations.extend(_stage_contract_violations(stage, where))
+        state, message = _stage_transfer(state, stage)
+        states.append(state)
+        if message is not None and where not in seen_chain:
+            seen_chain.add(where)
+            violations.append(Violation(ViolationKind.SCHUBERT_VIOLATION, where, message))
+    return ValidationReport(tuple(violations)), tuple(states)
+
+
 def validate_tower(tower: Tower) -> ValidationReport:
     """Check stage contracts and the genus inequality along the tower.
 
@@ -387,28 +414,7 @@ def validate_tower(tower: Tower) -> ValidationReport:
     against the values they themselves force, which settles all later
     passes by periodicity.
     """
-    state, violations = _initial_state(tower)
-    if not tower.cycle:
-        violations.append(
-            Violation(ViolationKind.MALFORMED_STAGE, "cycle", "cycle must be nonempty")
-        )
-    seen_contract: set[str] = set()
-    seen_chain: set[str] = set()
-    for stage, where in _unrolled(tower, passes=2):
-        if where not in seen_contract:
-            seen_contract.add(where)
-            violations.extend(_stage_contract_violations(stage, where))
-        state, message = _stage_transfer(state, stage)
-        if message is not None and where not in seen_chain:
-            seen_chain.add(where)
-            violations.append(Violation(ViolationKind.SCHUBERT_VIOLATION, where, message))
-    return ValidationReport(tuple(violations))
-
-
-def _require_valid(tower: Tower) -> None:
-    report = validate_tower(tower)
-    if not report.ok:
-        raise InvalidTowerError(report)
+    return _walk(tower)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +473,6 @@ class CohProfile:
 
     h1: H1Class
     steinitz: SteinitzNumber | None
-    h2_trivial: bool = True
 
 
 def cech_h1(tower: Tower) -> CohProfile:
@@ -479,7 +484,10 @@ def cech_h1(tower: Tower) -> CohProfile:
     limit's type: cycle windings contribute their primes at infinity, the
     prefix windings past the last zero contribute finitely.
     """
-    _require_valid(tower)
+    return _analyze(tower).coh
+
+
+def _cohomology(tower: Tower) -> CohProfile:
     cycle_ws = [s.winding for s in tower.cycle]
     if any(w == 0 for w in cycle_ws):
         return CohProfile(H1Class.TRIVIAL, None)
@@ -577,15 +585,6 @@ class GenusResult:
         return f"lower_bound:{self.value}"
 
 
-def _chain_states(tower: Tower, passes: int = 2) -> list[_ChainState]:
-    state, _ = _initial_state(tower)
-    states = [state]
-    for stage, _where in _unrolled(tower, passes=passes):
-        state, _msg = _stage_transfer(state, stage)
-        states.append(state)
-    return states
-
-
 def _cycle_pass(state: _ChainState, tower: Tower) -> _ChainState:
     for stage in tower.cycle:
         state, _ = _stage_transfer(state, stage)
@@ -603,34 +602,31 @@ def genus_of_tower(tower: Tower) -> GenusResult:
     basis-independence of the genus limit needs a nontrivial set).
     Otherwise the best chained lower bound.
     """
-    _require_valid(tower)
+    return _analyze(tower).genus
+
+
+def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
     cycle_ws = [s.winding for s in tower.cycle]
     all_ge1 = all(w >= 1 for w in cycle_ws)
 
     if all_ge1 and any(_pattern_bound(s)[0] > 0 for s in tower.cycle):
         return GenusResult.infinite(GenusRule.STRONGLY_KNOTTED)
 
-    prefix_state, _ = _initial_state(tower)
-    for stage in tower.prefix:
-        prefix_state, _ = _stage_transfer(prefix_state, stage)
-    after_one = _cycle_pass(prefix_state, tower)
+    # The chain entering the cycle, then after each cycle pass of the walk.
+    n, c = len(tower.prefix), len(tower.cycle)
+    passes = [states[n], states[n + c], states[n + 2 * c]]
 
     if all_ge1 and any(w >= 2 for w in cycle_ws):
-        if prefix_state.bound > 0 or after_one.bound > 0:
+        if passes[0].bound > 0 or passes[1].bound > 0:
             return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
 
-    # Iterate cycle passes to a fixed point (periodicity makes this settle
-    # after at most a couple of passes; the cap is pure paranoia).
-    current = prefix_state
-    steady: _ChainState | None = None
-    for _ in range(8):
-        nxt = _cycle_pass(current, tower)
-        if nxt == current:
-            steady = current
-            break
-        current = nxt
-    if steady is not None and steady.exact:
-        if any(w == 0 for w in cycle_ws) and steady.bound > 0:
+    # Iterate cycle passes to a fixed point.  Most chains settle within the
+    # two passes of the walk, but not all; the cap of eight is paranoia.
+    while len(passes) < 9 and passes[-1] != passes[-2]:
+        passes.append(_cycle_pass(passes[-1], tower))
+    last = passes[-1]
+    if last == passes[-2] and last.exact:
+        if any(w == 0 for w in cycle_ws) and last.bound > 0:
             # The defining tori all have this genus, but for a homologically
             # trivial set the limit is only an upper bound for the genus.
             return GenusResult.lower_bound(0)
@@ -639,10 +635,28 @@ def genus_of_tower(tower: Tower) -> GenusResult:
             if any(s.declared_genus is not None for s in tower.cycle)
             else GenusRule.STABLE_CHAIN
         )
-        return GenusResult.exact(steady.bound, rule)
+        return GenusResult.exact(last.bound, rule)
     if any(w == 0 for w in cycle_ws):
         return GenusResult.lower_bound(0)
-    return GenusResult.lower_bound((steady or current).bound)
+    return GenusResult.lower_bound(last.bound)
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """What the classifiers read off one validated tower and its walk."""
+
+    tower: Tower
+    states: tuple[_ChainState, ...]
+    coh: CohProfile
+    genus: GenusResult
+
+
+def _analyze(tower: Tower) -> _Analysis:
+    """Validate ``tower`` and analyze it from the same walk of its chain."""
+    report, states = _walk(tower)
+    if not report.ok:
+        raise InvalidTowerError(report)
+    return _Analysis(tower, states, _cohomology(tower), _genus(tower, states))
 
 
 def is_unknotted_tower(tower: Tower) -> bool:
@@ -673,19 +687,20 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
     tori stabilizes after the prefix and the fold
     ``D'(t) = D_pattern(t) * D_core(t^w)`` along the prefix computes it.
     """
-    _require_valid(tower)
-    coh = cech_h1(tower)
-    if coh.h1 is not H1Class.Z:
+    return _alexander(_analyze(tower))
+
+
+def _alexander(a: _Analysis) -> LaurentPoly:
+    if a.coh.h1 is not H1Class.Z:
         raise PreconditionError("H1NotZ", "the stabilized polynomial needs first cohomology Z")
-    g = genus_of_tower(tower)
-    if g.is_infinite:
+    if a.genus.is_infinite:
         raise PreconditionError("InfiniteGenus", "the stabilized polynomial needs finite genus")
-    if not g.is_exact:
+    if not a.genus.is_exact:
         raise PreconditionError(
             "GenusNotExact", "the genus could not be pinned to an exact value"
         )
-    delta = alexander_of_knot(tower.initial)
-    for stage in tower.prefix:
+    delta = alexander_of_knot(a.tower.initial)
+    for stage in a.tower.prefix:
         pat = _stage_delta(stage)
         if stage.winding == 0:
             delta = pat  # the inner torus sits in a ball: its type is the pattern's
@@ -702,8 +717,8 @@ def reembed_unknotted(tower: Tower) -> Tower:
     framing that unknots the stabilized torus yields an unknotted tower:
     initial core the unknot, later stages kept with trivial patterns.
     """
-    _require_valid(tower)
-    g = genus_of_tower(tower)
+    a = _analyze(tower)
+    g = a.genus
     if g.is_infinite:
         raise PreconditionError("InfiniteGenus", "an infinite-genus tower never stabilizes")
     if not g.is_exact:
@@ -712,31 +727,14 @@ def reembed_unknotted(tower: Tower) -> Tower:
         return tower
 
     target = _ChainState(g.value, True)
-    state, _ = _initial_state(tower)
-    stages = list(tower.prefix) + 2 * list(tower.cycle)
-    split = None
-    if state == target:
-        split = 0
-    else:
-        for idx, stage in enumerate(stages):
-            state, _ = _stage_transfer(state, stage)
-            if state == target:
-                split = idx + 1
-                break
-    if split is None:
+    if target not in a.states:
         raise PreconditionError("GenusNotExact", "no stabilization index found")
+    split = a.states.index(target)
 
     def forced(stage: Stage) -> Stage:
         if stage.kind is StageKind.CORE_PARALLEL:
             return stage
-        return Stage(
-            StageKind.GENERIC,
-            stage.winding,
-            0,
-            ONE,
-            None,
-            stage.concentric,
-        )
+        return generic(stage.winding, 0, ONE, None, stage.concentric)
 
     if split <= len(tower.prefix):
         new_prefix = tuple(forced(s) for s in tower.prefix[split:])
@@ -799,27 +797,24 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
     windings nonzero) also obstructs.  ``no_obstruction_found`` is not a
     realizability guarantee.
     """
-    g = genus_of_tower(tower)
-    if g.is_infinite:
+    return _homeo_verdict(_analyze(tower))
+
+
+def _homeo_verdict(a: _Analysis) -> HomeoVerdict:
+    if a.genus.is_infinite:
         return HomeoVerdict(
             True,
             "infinite_genus",
             "a toroidal attractor of a homeomorphism must have finite genus; "
-            + g.justification,
+            + a.genus.justification,
         )
-    coh = cech_h1(tower)
-    if coh.h1 is H1Class.NOT_FINITELY_GENERATED:
-        all_windings_ge1 = all(
-            s.winding >= 1 for s in tuple(tower.prefix) + tuple(tower.cycle)
-        )
-        states = _chain_states(tower)
+    if a.coh.h1 is H1Class.NOT_FINITELY_GENERATED:
+        stages = a.tower.prefix + a.tower.cycle
+        all_windings_ge1 = all(s.winding >= 1 for s in stages)
         knotted = (
-            normalize(tower.initial) != UNKNOT
-            or any(st.bound > 0 for st in states)
-            or any(
-                s.declared_genus is not None and s.declared_genus > 0
-                for s in tuple(tower.prefix) + tuple(tower.cycle)
-            )
+            normalize(a.tower.initial) != UNKNOT
+            or any(st.bound > 0 for st in a.states)
+            or any(s.declared_genus is not None and s.declared_genus > 0 for s in stages)
         )
         if all_windings_ge1 and knotted:
             return HomeoVerdict(
@@ -838,21 +833,24 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
 
 def flow_attractor_verdict(tower: Tower) -> FlowVerdict:
     """Flow-attractor test: cohomology Z plus eventual concentricity."""
-    _require_valid(tower)
-    coh = cech_h1(tower)
-    if coh.h1 is not H1Class.Z:
+    return _flow_verdict(_analyze(tower))
+
+
+def _flow_verdict(a: _Analysis) -> FlowVerdict:
+    if a.coh.h1 is not H1Class.Z:
         return FlowVerdict(
             False,
             "h1_not_z",
             "a toroidal attractor of a flow must have first Cech cohomology Z",
         )
-    if all(s.concentric for s in tower.cycle):
+    cycle = a.tower.cycle
+    if all(s.concentric for s in cycle):
         return FlowVerdict(
             True,
             "eventually_concentric",
             "all cycle stages are concentric, so the basis is eventually concentric",
         )
-    mixed = any(s.concentric for s in tower.cycle)
+    mixed = any(s.concentric for s in cycle)
     return FlowVerdict(
         False,
         "persistently_non_concentric",
@@ -916,8 +914,8 @@ def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
     multiplicities (cycle summands recur infinitely often).  A differing
     multiset certifies inequivalence; agreement is inconclusive.
     """
-    _require_valid(a)
-    _require_valid(b)
+    _analyze(a)
+    _analyze(b)
     ma = _summand_multiset(a)
     mb = _summand_multiset(b)
     if ma == mb:
@@ -950,18 +948,21 @@ class RInvariant:
         return self.value
 
 
+_R_TOROIDAL = RInvariant(
+    1,
+    "a toroidal set has a neighbourhood basis of solid tori and is not "
+    "cellular, so its stable first Betti number is exactly one",
+)
+
+
 def r_of_toroidal(tower: Tower) -> RInvariant:
     """The stable mod-2 first Betti number of neighbourhood bases: always 1.
 
     A toroidal set has a basis of solid tori (so the invariant is at most
     one) and is not cellular (so it cannot be zero).
     """
-    _require_valid(tower)
-    return RInvariant(
-        1,
-        "a toroidal set has a neighbourhood basis of solid tori and is not "
-        "cellular, so its stable first Betti number is exactly one",
-    )
+    _analyze(tower)
+    return _R_TOROIDAL
 
 
 class H1Input(str, enum.Enum):
@@ -1021,65 +1022,61 @@ def h1_input_of(profile: CohProfile) -> H1Input:
 # JSON schema (version 1)
 
 
-_KIND_ALIASES = {k.value: k for k in StageKind}
+_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+
+
+def _field(obj: dict, key: str, where: str, kind: type, default=...):
+    """``obj[key]`` of exactly type ``kind`` (so no ``true`` or ``2.9`` for an int),
+    or ``default`` when absent; a required field has none.  Null means unknown
+    and passes only where that is the default."""
+    if key not in obj:
+        if default is ...:
+            raise ValueError(f"{where}: missing field {key!r}")
+        return default
+    value = obj[key]
+    if type(value) is kind or (value is None and default is None):
+        return value
+    raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _stage_from_dict(obj: dict, where: str) -> Stage:
+    """A stage from its JSON object: the given fields over the kind's defaults.
+
+    A ``core_parallel``, ``swallow`` or ``wind`` stage must meet its stage
+    contract here; ``generic`` stages are left to the validator.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: stage must be an object")
-    kind_name = obj.get("kind", "generic")
-    if kind_name not in _KIND_ALIASES:
-        raise ValueError(f"{where}: unknown stage kind {kind_name!r}")
-    kind = _KIND_ALIASES[kind_name]
+    try:
+        kind = StageKind(obj.get("kind", "generic"))
+    except ValueError:
+        raise ValueError(f"{where}: unknown stage kind {obj['kind']!r}") from None
     unknown = set(obj) - {
         "kind", "w", "knot", "pattern_genus", "pattern_delta", "declared_genus", "concentric",
     }
     if unknown:
         raise ValueError(f"{where}: unknown stage fields {sorted(unknown)}")
 
-    declared = obj.get("declared_genus")
-    if kind is StageKind.CORE_PARALLEL:
-        stage = core_parallel()
-        if declared is not None:
-            stage = replace(stage, declared_genus=int(declared))
-        if obj.get("w", 1) != 1 or obj.get("concentric", True) is not True:
-            raise ValueError(f"{where}: core_parallel stages are w=1 and concentric")
-        return stage
     if kind is StageKind.SWALLOW:
-        if "knot" not in obj:
-            raise ValueError(f"{where}: swallow stage needs a 'knot' field")
-        stage = swallow(parse_knot(obj["knot"]))
-        if declared is not None:
-            stage = replace(stage, declared_genus=int(declared))
-        if obj.get("w", 1) != 1:
-            raise ValueError(f"{where}: swallow stages have w=1")
-        if "pattern_genus" in obj and obj["pattern_genus"] != stage.pattern_genus:
-            raise ValueError(
-                f"{where}: pattern_genus {obj['pattern_genus']} contradicts the "
-                f"swallowed knot's genus {stage.pattern_genus}"
-            )
-        if obj.get("concentric", False):
-            raise ValueError(f"{where}: swallow stages are not concentric")
-        return stage
-    if kind is StageKind.WIND:
-        if "w" not in obj:
-            raise ValueError(f"{where}: wind stage needs a winding 'w'")
-        if obj.get("pattern_genus", 0) != 0:
-            raise ValueError(f"{where}: wind stages have a trivial pattern")
-        if obj.get("concentric", False):
-            raise ValueError(f"{where}: wind stages are not concentric")
-        return wind(int(obj["w"]), None if declared is None else int(declared))
-    if "w" not in obj:
-        raise ValueError(f"{where}: generic stage needs a winding 'w'")
-    delta = obj.get("pattern_delta")
-    pg = obj.get("pattern_genus")
-    return generic(
-        int(obj["w"]),
-        None if pg is None else int(pg),
-        None if delta is None else parse_poly(delta),
-        None if declared is None else int(declared),
-        bool(obj.get("concentric", False)),
+        stage = swallow(parse_knot(_field(obj, "knot", where, str)))
+    elif kind is StageKind.CORE_PARALLEL:
+        stage = core_parallel()
+    else:
+        stage = (wind if kind is StageKind.WIND else generic)(_field(obj, "w", where, int))
+    delta = _field(obj, "pattern_delta", where, str, None)
+    stage = replace(
+        stage,
+        winding=_field(obj, "w", where, int, stage.winding),
+        pattern_genus=_field(obj, "pattern_genus", where, int, stage.pattern_genus),
+        pattern_delta=stage.pattern_delta if delta is None else parse_poly(delta),
+        declared_genus=_field(obj, "declared_genus", where, int, None),
+        concentric=_field(obj, "concentric", where, bool, stage.concentric),
     )
+    if kind is not StageKind.GENERIC:
+        violations = _stage_contract_violations(stage, where)
+        if violations:
+            raise InvalidTowerError(ValidationReport(tuple(violations)))
+    return stage
 
 
 def _stage_to_dict(stage: Stage) -> dict:
@@ -1104,23 +1101,22 @@ def tower_from_dict(obj: dict) -> Tower:
     unknown = set(obj) - {"name", "initial", "initial_genus", "prefix", "cycle", "schema_version"}
     if unknown:
         raise ValueError(f"unknown tower fields {sorted(unknown)}")
-    if obj.get("schema_version", 1) != 1:
-        raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
-    if "initial" not in obj:
-        raise ValueError("tower needs an 'initial' knot expression")
-    prefix = tuple(
-        _stage_from_dict(s, f"prefix[{i}]") for i, s in enumerate(obj.get("prefix", []))
+    if _field(obj, "schema_version", "tower", int, 1) != 1:
+        raise ValueError(f"unsupported schema_version {obj['schema_version']!r}")
+    initial = parse_knot(_field(obj, "initial", "tower", str))
+    prefix, cycle = (
+        tuple(
+            _stage_from_dict(s, f"{key}[{i}]")
+            for i, s in enumerate(_field(obj, key, "tower", list, []))
+        )
+        for key in ("prefix", "cycle")
     )
-    cycle = tuple(
-        _stage_from_dict(s, f"cycle[{j}]") for j, s in enumerate(obj.get("cycle", []))
-    )
-    ig = obj.get("initial_genus")
     return Tower(
-        name=str(obj.get("name", "unnamed")),
-        initial=parse_knot(obj["initial"]),
+        name=_field(obj, "name", "tower", str, "unnamed"),
+        initial=initial,
         prefix=prefix,
         cycle=cycle,
-        initial_genus=None if ig is None else int(ig),
+        initial_genus=_field(obj, "initial_genus", "tower", int, None),
     )
 
 

@@ -45,7 +45,7 @@ from toroidal.towers import (
     tower_alexander,
     validate_tower,
     wind,
-    _chain_states,
+    _analyze,
     _unrolled,
 )
 
@@ -170,7 +170,7 @@ def test_criterion_8_consistency_property_suite():
     with budget(8, 30.0, "1000 random validated towers satisfy the classifier consistency laws"):
         towers = random_valid_towers(seed=20260809, count=1000)
         for t in towers:
-            states = _chain_states(t)
+            states = _analyze(t).states
             stages = list(_unrolled(t, passes=2))
             for (stage, _w), before, after in zip(stages, states, states[1:]):
                 if stage.winding >= 1:

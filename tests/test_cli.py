@@ -65,6 +65,19 @@ def test_tower_report_validation_failure_exit_2(tmp_path):
     assert "SchubertViolation" in err and "cycle[0]" in err
 
 
+def test_tower_report_strict_json_types_exit_2(tmp_path):
+    doc = {
+        "name": "typed",
+        "initial": "unknot",
+        "cycle": [{"kind": "generic", "w": 1, "pattern_genus": 0, "concentric": "false"}],
+    }
+    path = tmp_path / "typed_tower.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["tower", "report", str(path)])
+    assert code == 2
+    assert "cycle[0]" in err and "concentric" in err
+
+
 def test_tower_report_reads_files(tmp_path):
     doc = {
         "name": "knotted_dyadic",

@@ -53,7 +53,6 @@ def cofactor_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
 def test_parse_trefoil():
     d = parse_pd(TREFOIL_PD)
     assert d.n == 3
-    assert d.arc_count == 3
     assert all(c.sign == -1 for c in d.crossings)
     assert d.writhe() == -3
 

@@ -34,7 +34,7 @@ from toroidal.towers import (
     tower_to_dict,
     validate_tower,
     wind,
-    _chain_states,
+    _analyze,
     _unrolled,
 )
 
@@ -102,7 +102,6 @@ def test_cech_whitehead_trivial():
     profile = cech_h1(CAT["whitehead"])
     assert profile.h1 is H1Class.TRIVIAL
     assert profile.steinitz is None
-    assert profile.h2_trivial
 
 
 def test_cech_tame_trefoil_is_z():
@@ -380,6 +379,22 @@ def test_tower_json_errors():
         tower_from_dict(
             {"initial": "unknot", "cycle": [{"kind": "swallow", "knot": "torus(2,3)", "pattern_genus": 0}]}
         )
+    # JSON types are strict: no bool(str), int(float) or int(bool) coercion.
+    for field, stage in [
+        ("concentric", {"kind": "generic", "w": 1, "pattern_genus": 0, "concentric": "false"}),
+        ("w", {"kind": "wind", "w": 2.9}),
+        ("w", {"kind": "wind", "w": True}),
+        ("declared_genus", {"kind": "wind", "w": 2, "declared_genus": 0.0}),
+        ("pattern_genus", {"kind": "generic", "w": 1, "pattern_genus": True}),
+    ]:
+        with pytest.raises(ValueError, match=rf"cycle\[0\]: '{field}' must be"):
+            tower_from_dict({"initial": "unknot", "cycle": [stage]})
+    with pytest.raises(ValueError, match="'initial_genus' must be"):
+        tower_from_dict({"initial": "unknot", "initial_genus": True, "cycle": [{"kind": "core_parallel"}]})
+    # The kind contracts are the validator's, applied at load.
+    with pytest.raises(InvalidTowerError) as exc:
+        tower_from_dict({"initial": "unknot", "cycle": [{"kind": "wind", "w": 1, "concentric": True}]})
+    assert [v.kind for v in exc.value.report.violations] == [ViolationKind.CONCENTRICITY_CONTRACT]
 
 
 def test_tower_json_defaults_by_kind(tmp_path):
@@ -400,11 +415,36 @@ def test_tower_json_defaults_by_kind(tmp_path):
     assert g.kind is GenusKind.EXACT and g.value == 3
 
 
+# -- one analysis per report --------------------------------------------------
+
+
+def test_report_checks_each_stage_and_walks_the_chain_once(monkeypatch):
+    import toroidal.towers as towers
+    from toroidal.reports import build_report
+
+    t = mask_tower("1", 64)
+    calls = {"_stage_contract_violations": 0, "_stage_transfer": 0}
+    for name in calls:
+        original = getattr(towers, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(towers, name, counted)
+    build_report(t)
+    assert calls == {
+        "_stage_contract_violations": len(t.prefix) + len(t.cycle),
+        "_stage_transfer": len(t.prefix) + 2 * len(t.cycle),
+    }
+    assert calls["_stage_contract_violations"] == 65
+
+
 # -- randomized consistency suite ----------------------------------------
 
 
 def _assert_classifiers_consistent(t: Tower) -> None:
-    states = _chain_states(t)
+    states = _analyze(t).states
     stages = list(_unrolled(t, passes=2))
     for (stage, _w), before, after in zip(stages, states, states[1:]):
         if stage.winding >= 1:
