@@ -9,6 +9,8 @@ sums by prime-summand multisets.
 Text form (round-trippable, parsed by :func:`parse_knot`):
 
     expr := "unknot" | "torus(p,q)" | "sum(e1; e2; ...)" | "table(name)"
+
+``sum(`` nests at most 100 levels deep.
 """
 
 from __future__ import annotations
@@ -259,6 +261,10 @@ TABLE_KNOTS: dict[str, Table] = {
 _TORUS_RE = re.compile(r"torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
 
+# Parsing and normalizing recurse once per ``sum(`` level; the cap keeps deep
+# input a ValueError.  It costs nothing, since normalizing flattens sums.
+_MAX_NESTING = 100
+
 
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot-expression grammar; the result is normalized."""
@@ -268,7 +274,7 @@ def parse_knot(text: str) -> KnotExpr:
     return normalize(expr)
 
 
-def _parse_expr(text: str) -> tuple[KnotExpr, str]:
+def _parse_expr(text: str, depth: int = 0) -> tuple[KnotExpr, str]:
     text = text.lstrip()
     if text.startswith("unknot"):
         return UNKNOT, text[len("unknot"):]
@@ -282,10 +288,12 @@ def _parse_expr(text: str) -> tuple[KnotExpr, str]:
             raise ValueError(f"unknown table knot {name!r}")
         return TABLE_KNOTS[name], text[m.end():]
     if text.startswith("sum("):
+        if depth == _MAX_NESTING:
+            raise ValueError(f"knot expression nests sum(...) deeper than {_MAX_NESTING} levels")
         rest = text[len("sum("):]
         parts: list[KnotExpr] = []
         while True:
-            part, rest = _parse_expr(rest)
+            part, rest = _parse_expr(rest, depth + 1)
             parts.append(part)
             rest = rest.lstrip()
             if rest.startswith(";"):

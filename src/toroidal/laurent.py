@@ -71,12 +71,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return self.terms[0][0]
 
-    def degree(self) -> int:
-        """Largest exponent with a nonzero coefficient."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[-1][0]
-
     def breadth(self) -> int:
         """Degree span, ``max exponent - min exponent``.
 

@@ -1,11 +1,12 @@
 """Toroidal sets as eventually periodic towers of nested solid tori.
 
 A :class:`Tower` records the core knot type of the outermost torus and the
-stage data of each nesting step: winding number, pattern genus and pattern
-Alexander polynomial, an optional externally declared genus for the inner
-torus, and a concentricity flag.  The cycle stages repeat forever, which
-keeps every classifier decidable while covering solenoids, Whitehead-style
-continua, infinite connected sums and their truncations.
+stage data of each nesting step: winding number, the pattern (a swallowed
+knot, or a pattern genus and Alexander polynomial), an optional externally
+declared genus for the inner torus, and a concentricity flag.  The cycle
+stages repeat forever, which keeps every classifier decidable while covering
+solenoids, Whitehead-style continua, infinite connected sums and their
+truncations.
 
 Classifiers
 -----------
@@ -119,10 +120,13 @@ class Stage:
 
     ``pattern_genus`` / ``pattern_delta`` describe the inner torus seen
     through a preferred-framing unknotting of the outer one; ``None`` means
-    unknown.  ``declared_genus`` is an externally asserted exact genus of
-    the inner torus.  ``concentric`` asserts that the region between the
-    tori is a product; it is declared input, with its necessary conditions
-    (winding one, trivial pattern) enforced by the validator.
+    unknown.  A swallow stage's pattern is its ``knot``: the genus and the
+    polynomial are derived from it where they are read, and the validator
+    rejects a swallow stage that carries pattern fields.  ``declared_genus``
+    is an externally asserted exact genus of the inner torus.  ``concentric``
+    asserts that the region between the tori is a product; it is declared
+    input, with its necessary conditions (winding one, trivial pattern)
+    enforced by the validator.
     """
 
     kind: StageKind
@@ -140,22 +144,11 @@ def core_parallel() -> Stage:
 
 
 def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
-    """Follow the core once and tie in ``knot``: a connected-sum stage."""
-    knot = normalize(knot)
-    g = genus_of_knot(knot)
-    try:
-        delta = alexander_of_knot(knot)
-    except InvariantUnavailable:
-        delta = None
-    return Stage(
-        StageKind.SWALLOW,
-        1,
-        g.lower if g.is_exact else None,
-        delta,
-        declared_genus,
-        False,
-        knot,
-    )
+    """Follow the core once and tie in ``knot``: a connected-sum stage.
+
+    The stage stores only the knot; its invariants are computed when read.
+    """
+    return Stage(StageKind.SWALLOW, 1, None, None, declared_genus, False, normalize(knot))
 
 
 def wind(w: int, declared_genus: int | None = None) -> Stage:
@@ -339,9 +332,11 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     if stage.concentric and stage.kind in (StageKind.SWALLOW, StageKind.WIND):
         bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{stage.kind.value} stage cannot be concentric")
 
-    trivial_delta = stage.pattern_delta is None or stage.pattern_delta.is_unit()
+    trivial_pattern = _pattern_bound(stage) == (0, True) and (
+        stage.pattern_delta is None or stage.pattern_delta.is_unit()
+    )
     if stage.kind is StageKind.CORE_PARALLEL:
-        if stage.winding != 1 or stage.pattern_genus != 0 or not trivial_delta:
+        if stage.winding != 1 or not trivial_pattern:
             bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
         if not stage.concentric:
             bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must be concentric")
@@ -350,19 +345,17 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
             bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
         if stage.knot is None:
             bad(ViolationKind.MALFORMED_STAGE, "swallow stage carries no knot")
-        else:
-            g = genus_of_knot(stage.knot)
-            if g.is_exact and stage.pattern_genus not in (None, g.lower):
-                bad(
-                    ViolationKind.MALFORMED_STAGE,
-                    f"swallow pattern genus {stage.pattern_genus} contradicts the summand genus {g.lower}",
-                )
+        if stage.pattern_genus is not None or stage.pattern_delta is not None:
+            bad(
+                ViolationKind.MALFORMED_STAGE,
+                "swallow stage takes its pattern from its knot, not from pattern fields",
+            )
     elif stage.kind is StageKind.WIND:
-        if stage.pattern_genus != 0 or not trivial_delta:
+        if not trivial_pattern:
             bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
 
     if stage.concentric and stage.kind is not StageKind.CORE_PARALLEL:
-        if stage.winding != 1 or stage.pattern_genus != 0 or not trivial_delta:
+        if stage.winding != 1 or not trivial_pattern:
             bad(
                 ViolationKind.CONCENTRICITY_CONTRACT,
                 "a concentric stage needs winding 1 and a trivial pattern",
@@ -1043,7 +1036,8 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     """A stage from its JSON object: the given fields over the kind's defaults.
 
     A ``core_parallel``, ``swallow`` or ``wind`` stage must meet its stage
-    contract here; ``generic`` stages are left to the validator.
+    contract here, so pattern fields on a swallow stage are rejected;
+    ``generic`` stages are left to the validator.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: stage must be an object")
@@ -1081,13 +1075,12 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
 
 def _stage_to_dict(stage: Stage) -> dict:
     out: dict = {"kind": stage.kind.value, "w": stage.winding}
-    if stage.kind is StageKind.SWALLOW and stage.knot is not None:
+    if stage.knot is not None:
         out["knot"] = str(stage.knot)
-    else:
-        if stage.pattern_genus is not None:
-            out["pattern_genus"] = stage.pattern_genus
-        if stage.pattern_delta is not None:
-            out["pattern_delta"] = str(stage.pattern_delta)
+    if stage.pattern_genus is not None:
+        out["pattern_genus"] = stage.pattern_genus
+    if stage.pattern_delta is not None:
+        out["pattern_delta"] = str(stage.pattern_delta)
     if stage.declared_genus is not None:
         out["declared_genus"] = stage.declared_genus
     out["concentric"] = stage.concentric

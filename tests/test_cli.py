@@ -29,9 +29,14 @@ def test_knot_genus():
     assert json.loads(out) == {"expr": "torus(3,4)", "genus_lower": 3, "genus_upper": 3}
 
 
+DEEP_KNOT = "sum(" * 3000 + "unknot" + ")" * 3000
+
+
 def test_knot_expression_errors_exit_2():
     code, _, err = run(["knot", "genus", "torus(2,4)"])
     assert code == 2 and "coprime" in err
+    code, _, err = run(["knot", "genus", DEEP_KNOT])
+    assert code == 2 and "deeper than" in err
 
 
 def test_diagram_subcommands(tmp_path):
@@ -76,6 +81,17 @@ def test_tower_report_strict_json_types_exit_2(tmp_path):
     code, _, err = run(["tower", "report", str(path)])
     assert code == 2
     assert "cycle[0]" in err and "concentric" in err
+
+
+def test_tower_report_deep_knot_expression_exit_2(tmp_path):
+    for doc in [
+        {"initial": DEEP_KNOT, "cycle": [{"kind": "core_parallel"}]},
+        {"initial": "unknot", "cycle": [{"kind": "swallow", "knot": DEEP_KNOT}]},
+    ]:
+        path = tmp_path / "deep_tower.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["tower", "report", str(path)])
+        assert code == 2 and "deeper than" in err
 
 
 def test_tower_report_reads_files(tmp_path):

@@ -375,10 +375,16 @@ def test_tower_json_errors():
         tower_from_dict({"initial": "unknot", "cycle": [{"kind": "wind"}]})
     with pytest.raises(ValueError):
         tower_from_dict({"initial": "unknot", "bogus": 1, "cycle": []})
-    with pytest.raises(ValueError):
-        tower_from_dict(
-            {"initial": "unknot", "cycle": [{"kind": "swallow", "knot": "torus(2,3)", "pattern_genus": 0}]}
-        )
+    # A swallow stage's pattern is its knot: pattern fields are refused,
+    # whether they contradict the knot or agree with it.
+    for fields in [
+        {"pattern_genus": 0},
+        {"pattern_delta": "1 - 3*t + t^2"},
+        {"pattern_delta": "1 - t + t^2"},
+    ]:
+        stage = {"kind": "swallow", "knot": "torus(2,3)", **fields}
+        with pytest.raises(ValueError, match=r"cycle\[0\]"):
+            tower_from_dict({"initial": "unknot", "cycle": [stage]})
     # JSON types are strict: no bool(str), int(float) or int(bool) coercion.
     for field, stage in [
         ("concentric", {"kind": "generic", "w": 1, "pattern_genus": 0, "concentric": "false"}),
@@ -438,6 +444,30 @@ def test_report_checks_each_stage_and_walks_the_chain_once(monkeypatch):
         "_stage_transfer": len(t.prefix) + 2 * len(t.cycle),
     }
     assert calls["_stage_contract_violations"] == 65
+
+
+def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
+    import toroidal.towers as towers
+    from toroidal.reports import build_report
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return alexander_of_knot(k)
+
+    monkeypatch.setattr(towers, "alexander_of_knot", counted)
+    doc = {
+        "initial": "unknot",
+        "prefix": [{"kind": "swallow", "knot": f"torus(2,{2 * i + 3})"} for i in range(63)],
+        "cycle": [{"kind": "swallow", "knot": "torus(3,4)"}],
+    }
+    tower_from_dict(doc)
+    assert calls == []
+    build_report(mask_tower("1", 64))  # infinite genus: no fold
+    assert calls == []
+    build_report(tower(UNKNOT, prefix=[swallow(TREFOIL), swallow(CINQUEFOIL)]))
+    assert calls == [UNKNOT, TREFOIL, CINQUEFOIL]
 
 
 # -- randomized consistency suite ----------------------------------------
