@@ -81,23 +81,23 @@ def mask_tower(mask: str, prefix_len: int = 8) -> Tower:
     )
 
 
-def catalog(extra_dir: str | None = None) -> dict[str, Tower]:
+def catalog() -> dict[str, Tower]:
     """Catalog of towers: built-ins plus any ``*.json`` files in the
-    directory named by ``TOROIDAL_CATALOG_DIR`` (or ``extra_dir``), which
-    override built-ins of the same name."""
+    directory named by ``TOROIDAL_CATALOG_DIR``, which override built-ins
+    of the same name."""
     out = built_in_towers()
-    directory = extra_dir if extra_dir is not None else os.environ.get(CATALOG_DIR_ENV)
+    directory = os.environ.get(CATALOG_DIR_ENV)
     if directory:
         for path in sorted(Path(directory).glob("*.json")):
             out[path.stem] = load_tower(path)
     return out
 
 
-def resolve(name: str, extra_dir: str | None = None) -> Tower:
+def resolve(name: str) -> Tower:
     """Look up a catalog tower; ``mask:<bits>`` builds a mask-family tower."""
     if name.startswith("mask:"):
         return mask_tower(name[len("mask:"):])
-    towers = catalog(extra_dir)
+    towers = catalog()
     if name not in towers:
         known = ", ".join(sorted(towers))
         raise KeyError(f"unknown catalog tower {name!r}; known: {known}, mask:<bits>")

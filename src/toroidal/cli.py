@@ -21,15 +21,9 @@ import sys
 
 from .catalog import catalog, resolve
 from .diagrams import alexander_from_diagram, genus_bounds, parse_pd
-from .knots import (
-    InvariantUnavailable,
-    NotDecomposable,
-    alexander_of_knot,
-    genus_of_knot,
-    parse_knot,
-)
+from .knots import alexander_of_knot, genus_of_knot, parse_knot
 from .reports import build_report, render_json, render_text
-from .towers import InvalidTowerError, PreconditionError, load_tower
+from .towers import InvalidTowerError, load_tower
 
 __all__ = ["main"]
 
@@ -158,7 +152,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except InvalidTowerError as exc:
         err.write(f"invalid tower:\n{exc}\n")
         return 2
-    except (ValueError, KeyError, PreconditionError, InvariantUnavailable, NotDecomposable) as exc:
+    except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         err.write(f"error: {message}\n")
         return 2

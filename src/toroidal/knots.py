@@ -193,8 +193,8 @@ def genus_of_knot(k: KnotExpr) -> KnotGenus:
 
 def _torus_alexander(p: int, q: int) -> LaurentPoly:
     # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), an exact division in Z[t].
-    num = (LaurentPoly({p * q: 1}) - 1) * (T - 1)
-    den = (LaurentPoly({p: 1}) - 1) * (LaurentPoly({q: 1}) - 1)
+    num = (LaurentPoly({p * q: 1}) - ONE) * (T - ONE)
+    den = (LaurentPoly({p: 1}) - ONE) * (LaurentPoly({q: 1}) - ONE)
     return num.exact_div(den).canonical()
 
 
@@ -260,6 +260,7 @@ TABLE_KNOTS: dict[str, Table] = {
 
 _TORUS_RE = re.compile(r"torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
+_SPACE = re.compile(r"\s*")
 
 # Parsing and normalizing recurse once per ``sum(`` level; the cap keeps deep
 # input a ValueError.  It costs nothing, since normalizing flattens sums.
@@ -268,38 +269,41 @@ _MAX_NESTING = 100
 
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot-expression grammar; the result is normalized."""
-    expr, rest = _parse_expr(text.strip())
-    if rest.strip():
-        raise ValueError(f"trailing input in knot expression: {rest.strip()!r}")
+    text = text.strip()
+    expr, pos = _parse_expr(text, 0)
+    if text[pos:].strip():
+        raise ValueError(f"trailing input in knot expression: {text[pos:].strip()!r}")
     return normalize(expr)
 
 
-def _parse_expr(text: str, depth: int = 0) -> tuple[KnotExpr, str]:
-    text = text.lstrip()
-    if text.startswith("unknot"):
-        return UNKNOT, text[len("unknot"):]
-    m = _TORUS_RE.match(text)
+def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
+    """The expression at ``text[pos:]`` and the index just past it; indexing
+    rather than slicing keeps a long flat ``sum(`` linear."""
+    pos = _SPACE.match(text, pos).end()
+    if text.startswith("unknot", pos):
+        return UNKNOT, pos + len("unknot")
+    m = _TORUS_RE.match(text, pos)
     if m:
-        return Torus(int(m.group(1)), int(m.group(2))), text[m.end():]
-    m = _TABLE_RE.match(text)
+        return Torus(int(m.group(1)), int(m.group(2))), m.end()
+    m = _TABLE_RE.match(text, pos)
     if m:
         name = m.group(1)
         if name not in TABLE_KNOTS:
             raise ValueError(f"unknown table knot {name!r}")
-        return TABLE_KNOTS[name], text[m.end():]
-    if text.startswith("sum("):
+        return TABLE_KNOTS[name], m.end()
+    if text.startswith("sum(", pos):
         if depth == _MAX_NESTING:
             raise ValueError(f"knot expression nests sum(...) deeper than {_MAX_NESTING} levels")
-        rest = text[len("sum("):]
+        pos += len("sum(")
         parts: list[KnotExpr] = []
         while True:
-            part, rest = _parse_expr(rest, depth + 1)
+            part, pos = _parse_expr(text, pos, depth + 1)
             parts.append(part)
-            rest = rest.lstrip()
-            if rest.startswith(";"):
-                rest = rest[1:]
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith(";", pos):
+                pos += 1
                 continue
-            if rest.startswith(")"):
-                return Sum(tuple(parts)), rest[1:]
-            raise ValueError(f"expected ';' or ')' in sum(...), got {rest[:10]!r}")
-    raise ValueError(f"malformed knot expression near {text[:20]!r}")
+            if text.startswith(")", pos):
+                return Sum(tuple(parts)), pos + 1
+            raise ValueError(f"expected ';' or ')' in sum(...), got {text[pos:pos + 10]!r}")
+    raise ValueError(f"malformed knot expression near {text[pos:pos + 20]!r}")

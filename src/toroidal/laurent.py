@@ -25,31 +25,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly"]
 
 
 @dataclass(frozen=True, init=False)
 class LaurentPoly:
-    """An element of Z[t, t^-1]."""
+    """An element of Z[t, t^-1], built from a ``dict`` of exponent to
+    coefficient; zero coefficients are dropped.  ``LaurentPoly()`` is zero.
+
+    >>> print(LaurentPoly({2: 1, 0: 1, 1: 0}))
+    1 + t^2
+    """
 
     terms: tuple[tuple[int, int], ...]
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for exp, c in items:
-            acc[exp] = acc.get(exp, 0) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        )
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def t_power(cls, n: int, coeff: int = 1) -> LaurentPoly:
-        return cls({n: coeff})
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        terms = sorted([(e, c) for e, c in coeffs.items() if c]) if coeffs else ()
+        object.__setattr__(self, "terms", tuple(terms))
 
     # -- basic queries -------------------------------------------------
 
@@ -64,12 +57,6 @@ class LaurentPoly:
             if e == exp:
                 return c
         return 0
-
-    def low_exponent(self) -> int:
-        """Smallest exponent with a nonzero coefficient."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[0][0]
 
     def breadth(self) -> int:
         """Degree span, ``max exponent - min exponent``.
@@ -93,38 +80,25 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentPoly(list(self.terms) + list(other.terms))
-
-    __radd__ = __add__
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly(acc)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly([(e, -c) for e, c in self.terms])
+        return LaurentPoly({e: -c for e, c in self.terms})
 
-    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
-    def __rsub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        return (-self) + other
-
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         acc: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly(acc)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -148,11 +122,11 @@ class LaurentPoly:
             raise ValueError("substitution power must be >= 1")
         if w == 1:
             return self
-        return LaurentPoly([(w * e, c) for e, c in self.terms])
+        return LaurentPoly({w * e: c for e, c in self.terms})
 
     def mirror(self) -> LaurentPoly:
         """Substitute ``t -> t^-1``."""
-        return LaurentPoly([(-e, c) for e, c in self.terms])
+        return LaurentPoly({-e: c for e, c in self.terms})
 
     def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
         """Exact quotient ``self / divisor`` in Z[t, t^-1].
@@ -166,9 +140,10 @@ class LaurentPoly:
         if self.is_zero():
             return ZERO
         # Shift both operands to honest polynomials (lowest exponent 0).
-        shift = self.low_exponent() - divisor.low_exponent()
-        num = {e - self.low_exponent(): c for e, c in self.terms}
-        den = {e - divisor.low_exponent(): c for e, c in divisor.terms}
+        slow, dlow = self.terms[0][0], divisor.terms[0][0]
+        shift = slow - dlow
+        num = {e - slow: c for e, c in self.terms}
+        den = {e - dlow: c for e, c in divisor.terms}
         dd = max(den)
         dlead = den[dd]
         quot: dict[int, int] = {}
@@ -202,7 +177,7 @@ class LaurentPoly:
             return self
         low, lead = self.terms[0]
         sign = 1 if lead > 0 else -1
-        return LaurentPoly([(e - low, sign * c) for e, c in self.terms])
+        return LaurentPoly({e - low: sign * c for e, c in self.terms})
 
     def equal_up_to_unit(self, other: LaurentPoly) -> bool:
         """True when ``self = ±t^n * other`` for some integer ``n``."""
@@ -229,14 +204,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
-
-
-def _coerce(value: LaurentPoly | int) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly({0: value})
-    return NotImplemented
 
 
 ZERO = LaurentPoly()

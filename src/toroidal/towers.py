@@ -52,6 +52,8 @@ from .knots import (
     UNKNOT,
     InvariantUnavailable,
     KnotExpr,
+    Sum,
+    Table,
     alexander_of_knot,
     genus_of_knot,
     normalize,
@@ -353,6 +355,8 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     elif stage.kind is StageKind.WIND:
         if not trivial_pattern:
             bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
+    if stage.knot is not None and stage.kind is not StageKind.SWALLOW:
+        bad(ViolationKind.MALFORMED_STAGE, f"{stage.kind.value} stage takes no knot; only swallow does")
 
     if stage.concentric and stage.kind is not StageKind.CORE_PARALLEL:
         if stage.winding != 1 or not trivial_pattern:
@@ -804,10 +808,11 @@ def _homeo_verdict(a: _Analysis) -> HomeoVerdict:
     if a.coh.h1 is H1Class.NOT_FINITELY_GENERATED:
         stages = a.tower.prefix + a.tower.cycle
         all_windings_ge1 = all(s.winding >= 1 for s in stages)
-        knotted = (
-            normalize(a.tower.initial) != UNKNOT
-            or any(st.bound > 0 for st in a.states)
-            or any(s.declared_genus is not None and s.declared_genus > 0 for s in stages)
+        # Knotted only where proved: a positive genus bound, or a prime summand.
+        initial = normalize(a.tower.initial)
+        summands = initial.parts if isinstance(initial, Sum) else (initial,)
+        knotted = any(st.bound > 0 for st in a.states) or any(
+            isinstance(k, Table) and k.prime for k in summands
         )
         if all_windings_ge1 and knotted:
             return HomeoVerdict(
@@ -1036,8 +1041,8 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     """A stage from its JSON object: the given fields over the kind's defaults.
 
     A ``core_parallel``, ``swallow`` or ``wind`` stage must meet its stage
-    contract here, so pattern fields on a swallow stage are rejected;
-    ``generic`` stages are left to the validator.
+    contract here, so pattern fields on a swallow stage and a knot on any
+    other kind are rejected; ``generic`` stages are left to the validator.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: stage must be an object")
@@ -1051,8 +1056,10 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     if unknown:
         raise ValueError(f"{where}: unknown stage fields {sorted(unknown)}")
 
+    knot = _field(obj, "knot", where, str, ... if kind is StageKind.SWALLOW else None)
+    knot = None if knot is None else parse_knot(knot)
     if kind is StageKind.SWALLOW:
-        stage = swallow(parse_knot(_field(obj, "knot", where, str)))
+        stage = swallow(knot)
     elif kind is StageKind.CORE_PARALLEL:
         stage = core_parallel()
     else:
@@ -1065,6 +1072,7 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
         pattern_delta=stage.pattern_delta if delta is None else parse_poly(delta),
         declared_genus=_field(obj, "declared_genus", where, int, None),
         concentric=_field(obj, "concentric", where, bool, stage.concentric),
+        knot=knot,
     )
     if kind is not StageKind.GENERIC:
         violations = _stage_contract_violations(stage, where)

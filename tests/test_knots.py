@@ -102,6 +102,18 @@ def test_expression_round_trip():
         parse_knot("sum()")
 
 
+def test_long_flat_sum_parses_in_linear_time():
+    # 200,000 summands, 2.4 MB: a parser that copies the rest of the input
+    # at every token needs about 20 s here.
+    import time
+
+    text = "sum(" + "; ".join(["torus(2,3)"] * 200_000) + ")"
+    start = time.perf_counter()
+    k = parse_knot(text)
+    assert time.perf_counter() - start < 5
+    assert k == Sum((Torus(2, 3),) * 200_000)
+
+
 @pytest.mark.parametrize("knot", CATALOG, ids=str)
 def test_alexander_at_one_is_unit(knot):
     assert abs(alexander_of_knot(knot).evaluate_at_one()) == 1

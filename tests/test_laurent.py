@@ -183,3 +183,25 @@ def test_mirror_involution(p):
 def test_evaluate_at_one_is_ring_hom(p, q):
     assert (p + q).evaluate_at_one() == p.evaluate_at_one() + q.evaluate_at_one()
     assert (p * q).evaluate_at_one() == p.evaluate_at_one() * q.evaluate_at_one()
+
+
+@given(polys, polys)
+def test_sub_inverts_add(p, q):
+    assert (p - q) + q == p
+    assert p - p == ZERO
+    assert -(-p) == p
+
+
+# Nonzero divisors whose exponents are all negative: exact_div shifts by the
+# lowest exponent of each operand.
+negative_polys = st.dictionaries(
+    st.integers(min_value=-9, max_value=-1),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(LaurentPoly)
+
+
+@given(polys, negative_polys)
+def test_exact_div_inverts_mul(p, q):
+    assert (p * q).exact_div(q) == p

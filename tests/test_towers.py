@@ -272,6 +272,19 @@ def test_homeo_knotted_with_h1_not_z_fallback():
     assert verdict.tag == "obstructed:knotted_with_h1_not_z"
 
 
+def test_homeo_uncertified_table_core_is_not_knotted():
+    # Nothing certifies these cores knotted: a table knot of declared genus
+    # zero (the report calls the set unknotted), and one with no genus and
+    # no prime flag.
+    from toroidal.knots import Table
+    from toroidal.reports import build_report
+
+    for core in (Table("y", genus=0), Table("x")):
+        report = build_report(tower(core, cycle=[wind(2)]))
+        assert report["homeo_verdict"] == "no_obstruction_found"
+    assert build_report(tower(Table("y", genus=0), cycle=[wind(2)]))["unknotted"] is True
+
+
 def test_flow_verdicts():
     assert str(flow_attractor_verdict(CAT["dyadic_solenoid"])) == "not_realizable:h1_not_z"
     assert str(flow_attractor_verdict(CAT["whitehead"])) == "not_realizable:h1_not_z"
@@ -401,6 +414,21 @@ def test_tower_json_errors():
     with pytest.raises(InvalidTowerError) as exc:
         tower_from_dict({"initial": "unknot", "cycle": [{"kind": "wind", "w": 1, "concentric": True}]})
     assert [v.kind for v in exc.value.report.violations] == [ViolationKind.CONCENTRICITY_CONTRACT]
+    # Only a swallow stage takes a knot; on any other kind it is refused,
+    # not dropped.
+    for stage in [
+        {"kind": "wind", "w": 2, "knot": "torus(2,3)"},
+        {"kind": "core_parallel", "knot": "torus(2,3)"},
+    ]:
+        with pytest.raises(InvalidTowerError, match=r"cycle\[0\].*MalformedStage.*knot"):
+            tower_from_dict({"initial": "unknot", "cycle": [stage]})
+
+
+def test_generic_stage_with_knot_is_malformed():
+    t = tower_from_dict({"initial": "unknot", "cycle": [{"kind": "generic", "w": 1, "knot": "torus(2,3)"}]})
+    (violation,) = validate_tower(t).violations
+    assert violation.kind is ViolationKind.MALFORMED_STAGE and "knot" in violation.message
+    assert t.cycle == (Stage(StageKind.GENERIC, 1, knot=TREFOIL),)
 
 
 def test_tower_json_defaults_by_kind(tmp_path):
