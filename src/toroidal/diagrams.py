@@ -30,18 +30,30 @@ under-crossing endpoints.  Each crossing contributes one matrix row over
 Z[t, t^-1]: the over-arc receives ``1 - t``; the incoming/outgoing under
 arcs receive ``t``/``-1`` at a positive crossing and ``-1``/``t`` at a
 negative one.  Deleting one row and one column and taking the determinant
-(fraction-free elimination, exact division) gives the Alexander polynomial.
+gives the Alexander polynomial.
+
+The determinant is one integer computation (Kronecker substitution).  On
+the unit circle every entry is at most its coefficient 1-norm in absolute
+value, so Hadamard's inequality bounds the determinant there, and hence
+each of its coefficients, by ``sqrt(prod_rows sum_entries |a_ij|_1^2)``,
+which is below ``C = isqrt(...) + 1``.  The minor is evaluated at
+``t = B = 2C + 1``, its integer determinant is taken by Bareiss's
+fraction-free elimination (exact integer division, row swaps on a zero
+pivot), and the polynomial is read back as the balanced base-``B`` digits
+of that integer, each in ``[-C, C]``.  A code may have at most
+:data:`MAX_CROSSINGS` crossings, which keeps the determinant to seconds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
+from math import isqrt
 
 from .laurent import ONE, ZERO, LaurentPoly, T
 
 __all__ = [
+    "MAX_CROSSINGS",
     "Crossing",
     "Diagram",
     "PDSyntaxError",
@@ -112,6 +124,10 @@ class Diagram:
         return sum(c.sign for c in self.crossings)
 
 
+# Most crossings parse_pd accepts.  The determinant of an n-crossing code
+# makes about n^3/3 products of integers of up to about 1.3 n^2 bits.
+MAX_CROSSINGS = 100
+
 _X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
@@ -120,7 +136,8 @@ def parse_pd(text: str) -> Diagram:
 
     Raises :class:`PDSyntaxError` for grammar problems (with a position)
     and :class:`PDValidationError` for codes that are not single-component
-    sequentially labeled knot diagrams.
+    sequentially labeled knot diagrams or that have more than
+    :data:`MAX_CROSSINGS` crossings.
     """
     stripped = text.strip()
     if not stripped.startswith("PD["):
@@ -142,6 +159,10 @@ def parse_pd(text: str) -> Diagram:
             )
         quads.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
         pos = m.end()
+    if len(quads) > MAX_CROSSINGS:
+        raise PDValidationError(
+            f"PD code has {len(quads)} crossings; the limit is {MAX_CROSSINGS}"
+        )
     return _build_diagram(quads)
 
 
@@ -232,31 +253,48 @@ def alexander_matrix(d: Diagram) -> list[list[LaurentPoly]]:
     return rows
 
 
-def _det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free determinant over Z[t, t^-1]."""
-    m = [row[:] for row in rows]
+def _det_kronecker(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a nonempty square matrix over Z[t] (no negative
+    exponents).
+
+    Evaluates at ``t = B`` above twice the Hadamard bound, takes one integer
+    Bareiss determinant and decodes it as balanced base-``B`` digits (see
+    the module docstring).
+
+    >>> print(_det_kronecker([[ONE - T, T], [-ONE, ONE - T]]))
+    1 - t + t^2
+    """
+    square = 1
+    for row in rows:
+        square *= sum(sum(abs(c) for _, c in entry.terms) ** 2 for entry in row)
+    bound = isqrt(square) + 1
+    base = 2 * bound + 1
+    m = [[sum(c * base**e for e, c in entry.terms) for entry in row] for row in rows]
     n = len(m)
-    if n == 0:
-        return ONE
-    sign = 1
-    prev = ONE
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
                 return ZERO
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = elt.exact_div(prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+            row, lead = m[i], m[i][k]
+            row[k + 1:] = [(pivot * x - lead * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    value = sign * m[-1][-1]
+    coeffs: dict[int, int] = {}
+    exp = 0
+    while value:
+        value, digit = divmod(value, base)
+        if digit > bound:
+            digit -= base
+            value += 1
+        coeffs[exp] = digit
+        exp += 1
+    return LaurentPoly(coeffs)
 
 
 def alexander_from_diagram(
@@ -278,7 +316,7 @@ def alexander_from_diagram(
         for i, row in enumerate(rows)
         if i != drop_row
     ]
-    return _det_bareiss(minor).canonical()
+    return _det_kronecker(minor).canonical()
 
 
 def seifert_circle_count(d: Diagram) -> int:
@@ -334,11 +372,15 @@ def genus_bounds(d: Diagram) -> tuple[int, int]:
 
 def corpus_names() -> list[str]:
     """Names of the PD files shipped with the package."""
+    from importlib import resources
+
     pkg = resources.files(__package__).joinpath("data")
     return sorted(p.name[:-3] for p in pkg.iterdir() if p.name.endswith(".pd"))
 
 
 def load_corpus_diagram(name: str) -> Diagram:
     """Parse one of the shipped ``.pd`` files by name."""
+    from importlib import resources
+
     path = resources.files(__package__).joinpath("data", f"{name}.pd")
     return parse_pd(path.read_text())

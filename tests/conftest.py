@@ -1,4 +1,5 @@
-"""Shared helpers: a random validated-tower generator and suite timing."""
+"""Shared helpers: a random validated-tower generator, a T(2, n) PD code
+generator and suite timing."""
 
 from __future__ import annotations
 
@@ -63,6 +64,22 @@ def random_valid_towers(seed: int, count: int) -> list[Tower]:
         if validate_tower(t).ok:
             towers.append(t)
     return towers
+
+
+def torus_2_pd(n: int) -> str:
+    """PD code of the (2, n) torus knot for odd ``n >= 3``.
+
+    The two strands of the closed 2-braid take turns as the under-strand,
+    in the layout of the shipped ``torus_2_5.pd`` and ``torus_2_7.pd``.
+    """
+    def label(x: int) -> int:
+        return (x - 1) % (2 * n) + 1
+
+    quads = []
+    for k in range(n):
+        under, over = (n + 1 + k, 1 + k) if k % 2 == 0 else (1 + k, n + 1 + k)
+        quads.append(f"X[{label(under)},{label(over)},{label(under + 1)},{label(over + 1)}]")
+    return "PD[" + ",".join(quads) + "]"
 
 
 def pytest_sessionstart(session):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import torus_2_pd
 from toroidal.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,6 +56,15 @@ def test_diagram_error_paths(tmp_path):
     assert code == 2 and "position" in err
     code, _, err = run(["diagram", "genus", str(tmp_path / "missing.pd")])
     assert code == 2
+
+
+def test_diagram_over_the_crossing_cap_exit_2(tmp_path):
+    pd = tmp_path / "torus_2_101.pd"
+    pd.write_text(torus_2_pd(101))
+    for invariant in ("alexander", "genus"):
+        code, out, err = run(["diagram", invariant, str(pd)])
+        assert code == 2 and out == ""
+        assert "101 crossings; the limit is 100" in err
 
 
 def test_tower_report_validation_failure_exit_2(tmp_path):

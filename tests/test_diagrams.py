@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import torus_2_pd
 from toroidal.diagrams import (
+    MAX_CROSSINGS,
     InternalInconsistencyError,
     PDSyntaxError,
     PDValidationError,
@@ -14,6 +17,7 @@ from toroidal.diagrams import (
     parse_pd,
     seifert_circle_count,
     seifert_genus_upper,
+    _det_kronecker,
 )
 from toroidal.knots import Sum, TABLE_KNOTS, Torus, alexander_of_knot, genus_of_knot
 from toroidal.laurent import ONE, ZERO, LaurentPoly, T, parse_poly
@@ -87,6 +91,13 @@ def test_validation_errors():
         parse_pd("PD[X[1,3,2,4],X[1,4,2,3]]")
 
 
+def test_crossing_cap():
+    assert MAX_CROSSINGS == 100
+    assert parse_pd(torus_2_pd(99)).n == 99
+    with pytest.raises(PDValidationError, match="101 crossings; the limit is 100"):
+        parse_pd(torus_2_pd(101))
+
+
 def test_two_component_link_rejected():
     # The Hopf link: labels are consecutive within each component only.
     with pytest.raises(PDValidationError, match="links are rejected"):
@@ -135,6 +146,43 @@ def test_figure_eight_alexander_against_cofactor_minor():
     minor = [row[:-1] for row in rows[:-1]]
     assert cofactor_det(minor).canonical() == parse_poly("1 - 3*t + t^2")
     assert alexander_from_diagram(d) == parse_poly("1 - 3*t + t^2")
+
+
+# -- the integer determinant against cofactor expansion ---------------------
+
+_POLY = st.dictionaries(st.integers(0, 2), st.integers(-50, 50), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def _matrices(draw):
+    """Square matrices over Z[t] of size 1..5; some singular, some with a
+    zero leading column entry that forces a row swap."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_POLY) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # One row a multiple of another: the determinant is zero.
+        i, j = draw(st.permutations(range(n)))[:2]
+        factor = draw(_POLY)
+        rows[i] = [factor * b for b in rows[j]]
+    if draw(st.booleans()):
+        rows[0][0] = ZERO
+    return rows
+
+
+@given(_matrices())
+def test_det_kronecker_matches_cofactor_expansion(rows):
+    assert _det_kronecker(rows) == cofactor_det(rows)
+
+
+# -- closed forms at larger sizes -------------------------------------------
+
+
+def test_torus_2_n_diagrams_match_the_closed_forms():
+    for n in range(3, 62, 2):
+        d = parse_pd(torus_2_pd(n))
+        assert alexander_from_diagram(d) == alexander_of_knot(Torus(2, n))
+        g = (n - 1) // 2
+        assert genus_bounds(d) == (g, g)
 
 
 # -- Seifert circles ---------------------------------------------------------
