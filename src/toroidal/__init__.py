@@ -21,7 +21,6 @@ from .knots import (
     normalize,
     parse_knot,
     prime_summands,
-    torus_knots_equivalent,
 )
 from .diagrams import (
     Diagram,

@@ -120,9 +120,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    def writhe(self) -> int:
-        return sum(c.sign for c in self.crossings)
-
 
 # Most crossings parse_pd accepts.  The determinant of an n-crossing code
 # makes about n^3/3 products of integers of up to about 1.3 n^2 bits.

@@ -52,12 +52,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
-
     def breadth(self) -> int:
         """Degree span, ``max exponent - min exponent``.
 
@@ -100,18 +94,6 @@ class LaurentPoly:
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly(acc)
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not defined in Z[t, t^-1]")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def subst_power(self, w: int) -> LaurentPoly:
         """Substitute ``t -> t^w`` for a positive integer ``w``.
 
@@ -123,46 +105,6 @@ class LaurentPoly:
         if w == 1:
             return self
         return LaurentPoly({w * e: c for e, c in self.terms})
-
-    def mirror(self) -> LaurentPoly:
-        """Substitute ``t -> t^-1``."""
-        return LaurentPoly({-e: c for e, c in self.terms})
-
-    def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
-        """Exact quotient ``self / divisor`` in Z[t, t^-1].
-
-        Raises :class:`ValueError` when the division is not exact.  This is
-        what fraction-free elimination needs: quotients that are known to
-        exist are recovered without ever leaving the ring.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return ZERO
-        # Shift both operands to honest polynomials (lowest exponent 0).
-        slow, dlow = self.terms[0][0], divisor.terms[0][0]
-        shift = slow - dlow
-        num = {e - slow: c for e, c in self.terms}
-        den = {e - dlow: c for e, c in divisor.terms}
-        dd = max(den)
-        dlead = den[dd]
-        quot: dict[int, int] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise ValueError("polynomial division is not exact")
-            q, r = divmod(num[nd], dlead)
-            if r != 0:
-                raise ValueError("polynomial division is not exact")
-            quot[nd - dd] = q
-            for e, c in den.items():
-                k = e + nd - dd
-                v = num.get(k, 0) - q * c
-                if v:
-                    num[k] = v
-                else:
-                    num.pop(k, None)
-        return LaurentPoly({e + shift: c for e, c in quot.items()})
 
     # -- unit normalization ---------------------------------------------
 
@@ -178,10 +120,6 @@ class LaurentPoly:
         low, lead = self.terms[0]
         sign = 1 if lead > 0 else -1
         return LaurentPoly({e - low: sign * c for e, c in self.terms})
-
-    def equal_up_to_unit(self, other: LaurentPoly) -> bool:
-        """True when ``self = ±t^n * other`` for some integer ``n``."""
-        return self.canonical() == other.canonical()
 
     # -- text form -------------------------------------------------------
 
@@ -218,8 +156,8 @@ def parse_poly(text: str) -> LaurentPoly:
 
     >>> parse_poly("1 - t + t^2") == LaurentPoly({0: 1, 1: -1, 2: 1})
     True
-    >>> parse_poly("  -2*t^-3+7 ").coefficient(-3)
-    -2
+    >>> parse_poly("  -2*t^-3+7 ") == LaurentPoly({-3: -2, 0: 7})
+    True
     """
     tokens: list[tuple[str, int]] = []
     i = 0

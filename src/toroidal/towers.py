@@ -318,6 +318,12 @@ def _unrolled(tower: Tower, passes: int = 2) -> Iterable[tuple[Stage, str]]:
             yield s, f"cycle[{j}] (periodic)"
 
 
+# Largest winding a stage may have.  The cohomology factors each winding by
+# trial division, whose cost grows with its square root: a prime just under
+# the limit takes about 0.15 s (Xeon, Python 3.11).
+_MAX_WINDING = 2**40
+
+
 def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     out: list[Violation] = []
 
@@ -326,6 +332,8 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
 
     if stage.winding < 0:
         bad(ViolationKind.MALFORMED_STAGE, f"negative winding {stage.winding}")
+    if stage.winding > _MAX_WINDING:
+        bad(ViolationKind.MALFORMED_STAGE, f"winding {stage.winding} exceeds the limit 2^40")
     if stage.pattern_genus is not None and stage.pattern_genus < 0:
         bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {stage.pattern_genus}")
     if stage.declared_genus is not None and stage.declared_genus < 0:
@@ -445,10 +453,6 @@ class SteinitzNumber:
             else:
                 rendered.append(f"{p}^{e}")
         return " * ".join(rendered)
-
-    @property
-    def has_infinite_exponent(self) -> bool:
-        return bool(self.infinite)
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -1006,14 +1010,6 @@ def classify_by_r(
             note="a connected set with these data would be cellular",
         )
     return RVerdict(RClassification.INCONCLUSIVE)
-
-
-def h1_input_of(profile: CohProfile) -> H1Input:
-    if profile.h1 is H1Class.TRIVIAL:
-        return H1Input.ZERO
-    if profile.h1 is H1Class.Z:
-        return H1Input.Z
-    return H1Input.OTHER
 
 
 # ---------------------------------------------------------------------------

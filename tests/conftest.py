@@ -1,5 +1,5 @@
 """Shared helpers: a random validated-tower generator, a T(2, n) PD code
-generator and suite timing."""
+generator, the mirror of a Laurent polynomial and suite timing."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 import time
 
 from toroidal.knots import TABLE_KNOTS, Sum, Torus, UNKNOT
+from toroidal.laurent import LaurentPoly
 from toroidal.towers import (
     Tower,
     core_parallel,
@@ -80,6 +81,11 @@ def torus_2_pd(n: int) -> str:
         under, over = (n + 1 + k, 1 + k) if k % 2 == 0 else (1 + k, n + 1 + k)
         quads.append(f"X[{label(under)},{label(over)},{label(under + 1)},{label(over + 1)}]")
     return "PD[" + ",".join(quads) + "]"
+
+
+def mirror(p: LaurentPoly) -> LaurentPoly:
+    """``p`` with ``t -> t^-1`` substituted."""
+    return LaurentPoly({-e: c for e, c in p.terms})
 
 
 def pytest_sessionstart(session):

@@ -104,6 +104,18 @@ def test_tower_report_deep_knot_expression_exit_2(tmp_path):
         assert code == 2 and "deeper than" in err
 
 
+def test_tower_report_winding_cap(tmp_path):
+    path = tmp_path / "wound_tower.json"
+    for kind in ("wind", "generic"):
+        path.write_text(json.dumps({"initial": "unknot", "cycle": [{"kind": kind, "w": 2**40 + 1}]}))
+        code, out, err = run(["tower", "report", str(path)])
+        assert code == 2 and out == ""
+        assert "cycle[0]" in err and "MalformedStage" in err and "exceeds the limit 2^40" in err
+        path.write_text(json.dumps({"initial": "unknot", "cycle": [{"kind": kind, "w": 2**40}]}))
+        code, out, _ = run(["--json", "tower", "report", str(path)])
+        assert code == 0 and json.loads(out)["steinitz"] == "2^inf"
+
+
 def test_tower_report_reads_files(tmp_path):
     doc = {
         "name": "knotted_dyadic",

@@ -23,7 +23,6 @@ from toroidal.towers import (
     flow_attractor_verdict,
     generic,
     genus_of_tower,
-    h1_input_of,
     homeo_attractor_verdict,
     is_unknotted_tower,
     r_of_toroidal,
@@ -112,7 +111,7 @@ def test_cech_dyadic_solenoid():
     profile = cech_h1(CAT["dyadic_solenoid"])
     assert profile.h1 is H1Class.NOT_FINITELY_GENERATED
     assert str(profile.steinitz) == "2^inf"
-    assert profile.steinitz.has_infinite_exponent
+    assert profile.steinitz.infinite == (2,)
 
 
 def test_cech_prefix_contributes_finitely():
@@ -362,12 +361,6 @@ def test_classify_by_r_truth_table():
         assert verdict.classification.value == expected, args
         if note_word:
             assert note_word in (verdict.note or "")
-
-
-def test_h1_input_of_profiles():
-    assert h1_input_of(cech_h1(CAT["whitehead"])).value == "zero"
-    assert h1_input_of(cech_h1(CAT["tame_trefoil"])).value == "z"
-    assert h1_input_of(cech_h1(CAT["dyadic_solenoid"])).value == "other"
 
 
 # -- JSON schema -----------------------------------------------------------------
