@@ -1,4 +1,4 @@
-"""Planar knot diagrams: PD codes, the Alexander matrix, Seifert bounds.
+"""Planar knot diagrams: PD codes, the Wirtinger matrix, Seifert bounds.
 
 This is the brute-force invariant engine used to cross-check the closed
 formulas of :mod:`toroidal.knots`.
@@ -32,25 +32,38 @@ arcs receive ``t``/``-1`` at a positive crossing and ``-1``/``t`` at a
 negative one.  Deleting one row and one column and taking the determinant
 gives the Alexander polynomial.
 
-The determinant is one integer computation (Kronecker substitution).  On
-the unit circle every entry is at most its coefficient 1-norm in absolute
-value, so Hadamard's inequality bounds the determinant there, and hence
-each of its coefficients, by ``sqrt(prod_rows sum_entries |a_ij|_1^2)``,
-which is below ``C = isqrt(...) + 1``.  The minor is evaluated at
-``t = B = 2C + 1``, its integer determinant is taken by Bareiss's
-fraction-free elimination (exact integer division, row swaps on a zero
-pivot), and the polynomial is read back as the balanced base-``B`` digits
-of that integer, each in ``[-C, C]``.  A code may have at most
-:data:`MAX_CROSSINGS` crossings, which keeps the determinant to seconds.
+The determinant is one integer computation (Kronecker substitution).  The
+minor is built once as sparse integer rows, straight from the crossings:
+every entry is ``c0 + c1 t``.  On the unit circle such an entry is at most
+``|c0| + |c1|`` in absolute value, so Hadamard's inequality bounds the
+determinant there, and hence each of its coefficients, by
+``sqrt(prod_rows sum_entries (|c0| + |c1|)^2)``, which is below
+``C = isqrt(...) + 1``.  The minor is evaluated at ``t = B = 2C + 1`` and
+its integer determinant is taken by a sparse Bareiss elimination: rows are
+dicts, a column index lists the rows that are nonzero in each column, and
+each step pivots on the sparsest column and, in it, the sparsest row
+(Markowitz 1957).  The fraction-free update of Bareiss (1968) divides
+exactly, and a row that a step leaves alone is rescaled only when it is
+next used, so each step touches only the rows that are nonzero in its
+pivot column.  The polynomial is read back as the balanced base-``B``
+digits of the determinant, each in ``[-C, C]``.
+
+The polynomial is computed once per :class:`Diagram`, when
+:func:`alexander_from_diagram` or :func:`genus_bounds` first asks for it.
+A code may have at most :data:`MAX_CROSSINGS` crossings.  At that size the
+closures of torus braids take at most about 60 ms (T(2,99) 3 ms, T(11,10)
+33 ms, T(3,50) 56 ms) and closures of random positive braids up to about
+0.2 s (Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
-from .laurent import ONE, ZERO, LaurentPoly, T
+from .laurent import ONE, LaurentPoly
 
 __all__ = [
     "MAX_CROSSINGS",
@@ -64,7 +77,6 @@ __all__ = [
     "seifert_circle_count",
     "seifert_genus_upper",
     "genus_bounds",
-    "alexander_matrix",
     "load_corpus_diagram",
     "corpus_names",
 ]
@@ -120,9 +132,14 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
+    @cached_property
+    def _alexander(self) -> LaurentPoly:
+        # Read by alexander_from_diagram and genus_bounds; lives with the diagram.
+        return _alexander_minor(self, self.n - 1, self.n - 1) if self.n else ONE
 
-# Most crossings parse_pd accepts.  The determinant of an n-crossing code
-# makes about n^3/3 products of integers of up to about 1.3 n^2 bits.
+
+# Most crossings parse_pd accepts.  The determinant works on integers of up
+# to about 1.3 n^2 bits; if its rows fill in, it makes about n^3/3 products.
 MAX_CROSSINGS = 100
 
 _X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -232,56 +249,116 @@ def _build_diagram(quads: list[tuple[int, int, int, int]]) -> Diagram:
     return Diagram(tuple(crossings), tuple(edge_arc))
 
 
-def alexander_matrix(d: Diagram) -> list[list[LaurentPoly]]:
-    """The n x n Wirtinger matrix over Z[t, t^-1] (rows: crossings, columns: arcs)."""
-    n = d.n
-    rows = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i, c in enumerate(d.crossings):
-        over = d.edge_arc[c.over_in - 1]
+def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]]:
+    """The Wirtinger matrix as sparse rows (rows: crossings, columns: arcs).
+
+    Row ``i`` maps each arc at crossing ``i`` to its entry ``c0 + c1 t``,
+    stored as ``(c0, c1)``; every other entry is zero.
+    """
+    rows = []
+    for c in d.crossings:
         into = d.edge_arc[c.a - 1]
         out = d.edge_arc[c.c - 1]
-        rows[i][over] = rows[i][over] + (ONE - T)
-        if c.sign > 0:
-            rows[i][into] = rows[i][into] + T
-            rows[i][out] = rows[i][out] - ONE
-        else:
-            rows[i][into] = rows[i][into] - ONE
-            rows[i][out] = rows[i][out] + T
+        row = {into: (0, 1), out: (-1, 0)} if c.sign > 0 else {into: (-1, 0), out: (0, 1)}
+        over = d.edge_arc[c.over_in - 1]
+        c0, c1 = row.get(over, (0, 0))
+        row[over] = (c0 + 1, c1 - 1)
+        rows.append(row)
     return rows
 
 
-def _det_kronecker(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a nonempty square matrix over Z[t] (no negative
-    exponents).
+def _bareiss(rows: list[dict[int, int]]) -> int:
+    """Determinant of the square integer matrix whose row ``i`` maps columns
+    ``0..n-1`` to its nonzero entries; ``rows`` is used up.
 
-    Evaluates at ``t = B`` above twice the Hadamard bound, takes one integer
-    Bareiss determinant and decodes it as balanced base-``B`` digits (see
-    the module docstring).
+    Each step pivots on the column with the fewest nonzero rows and, in it,
+    on the row with the fewest nonzero entries (Markowitz 1957).  Every
+    other row with a nonzero entry ``a`` in the pivot column becomes
+    ``(p * row - a * pivot_row) / d``, where ``p`` is the pivot and ``d`` the
+    pivot of the step that last changed the row, or 1 (Bareiss 1968).  A
+    row that a step leaves alone is not rescaled: a pivot row is first
+    brought up to date as ``pivot_row * p' / d``, with ``p'`` the pivot of
+    the step before.  Both divisions are exact.
 
-    >>> print(_det_kronecker([[ONE - T, T], [-ONE, ONE - T]]))
+    >>> _bareiss([{0: 2, 1: 1}, {0: 4, 1: 3}])
+    2
+    """
+    n = len(rows)
+    where: list[set[int]] = [set() for _ in range(n)]  # column -> rows nonzero in it
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    level = [0] * n  # the step each row's values belong to
+    pivots = [1]  # pivots[s]: the pivot of step s - 1, the divisor of step s
+    match = [0] * n  # match[r]: the column row r pivoted
+    cols = set(range(n))
+    for k in range(n):
+        c = min(cols, key=lambda j: (len(where[j]), j))
+        if not where[c]:
+            return 0
+        cols.remove(c)
+        r = min(where[c], key=lambda i: (len(rows[i]), i))
+        match[r] = c
+        top = rows[r]
+        if level[r] != k:
+            scale, divisor = pivots[k], pivots[level[r]]
+            top = {j: v * scale // divisor for j, v in top.items()}
+        p = top.pop(c)
+        for j in top:
+            where[j].discard(r)
+        for i in where[c]:
+            if i == r:
+                continue
+            row = rows[i]
+            lead = row.pop(c)
+            divisor = pivots[level[i]]
+            for j in top.keys() - row.keys():
+                where[j].add(i)
+            new = {}
+            for j in row.keys() | top.keys():
+                v = (p * row.get(j, 0) - lead * top.get(j, 0)) // divisor
+                if v:
+                    new[j] = v
+                else:
+                    where[j].discard(i)
+            rows[i] = new
+            level[i] = k + 1
+        pivots.append(p)
+    # The pivots sit at (r, match[r]); the sign is that permutation's.
+    # A cycle of length m contributes (-1)^(m - 1).
+    sign, seen = 1, [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = match[j]
+            sign = -sign
+        sign = -sign
+    return sign * pivots[-1]
+
+
+def _det_kronecker(rows: list[dict[int, tuple[int, ...]]]) -> LaurentPoly:
+    """Determinant of a square matrix over Z[t] given as sparse rows.
+
+    Row ``i`` maps columns ``0..n-1`` to its nonzero entries, each a tuple
+    of coefficients ``(c0, c1, ...)`` of ``c0 + c1 t + ...``.  Evaluates at
+    ``t = B`` above twice the Hadamard bound, takes one integer determinant
+    and decodes it as balanced base-``B`` digits (see the module docstring).
+
+    >>> print(_det_kronecker([{0: (1, -1), 1: (0, 1)}, {0: (-1,), 1: (1, -1)}]))
     1 - t + t^2
     """
     square = 1
     for row in rows:
-        square *= sum(sum(abs(c) for _, c in entry.terms) ** 2 for entry in row)
+        square *= sum(sum(map(abs, entry)) ** 2 for entry in row.values())
     bound = isqrt(square) + 1
     base = 2 * bound + 1
-    m = [[sum(c * base**e for e, c in entry.terms) for entry in row] for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k][k + 1:]
-        for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            row[k + 1:] = [(pivot * x - lead * y) // prev for x, y in zip(row[k + 1:], top)]
-        prev = pivot
-    value = sign * m[-1][-1]
+    value = _bareiss([
+        {j: sum(c * base**e for e, c in enumerate(entry)) for j, entry in row.items()}
+        for row in rows
+    ])
     coeffs: dict[int, int] = {}
     exp = 0
     while value:
@@ -294,26 +371,23 @@ def _det_kronecker(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def alexander_from_diagram(
-    d: Diagram, drop_row: int = -1, drop_col: int = -1
-) -> LaurentPoly:
+def _alexander_minor(d: Diagram, drop_row: int, drop_col: int) -> LaurentPoly:
+    """Canonical determinant of the Wirtinger matrix of a nonempty diagram
+    less row ``drop_row`` and column ``drop_col``."""
+    rows = _wirtinger_rows(d)
+    del rows[drop_row]
+    minor = [{j - (j > drop_col): v for j, v in row.items() if j != drop_col} for row in rows]
+    return _det_kronecker(minor).canonical()
+
+
+def alexander_from_diagram(d: Diagram) -> LaurentPoly:
     """Alexander polynomial of the diagram, in canonical form.
 
-    Any one row and column of the Wirtinger matrix may be deleted; the
-    result is independent of the choice (exercised in the test suite).
-    Diagrams with at most one crossing are unknots with polynomial 1.
+    The determinant of the Wirtinger matrix less its last row and column;
+    any other row and column give the same result (exercised in the test
+    suite).  It is computed once per :class:`Diagram`.
     """
-    if d.n <= 1:
-        return ONE
-    rows = alexander_matrix(d)
-    drop_row %= d.n
-    drop_col %= d.n
-    minor = [
-        [entry for j, entry in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
-    return _det_kronecker(minor).canonical()
+    return d._alexander
 
 
 def seifert_circle_count(d: Diagram) -> int:
@@ -357,7 +431,7 @@ def genus_bounds(d: Diagram) -> tuple[int, int]:
     Lower bound: half the breadth of the Alexander polynomial, rounded up.
     Upper bound: the Seifert surface genus of this diagram.
     """
-    delta = alexander_from_diagram(d)
+    delta = d._alexander
     lower = 0 if delta.is_zero() else (delta.breadth() + 1) // 2
     upper = seifert_genus_upper(d)
     if lower > upper:

@@ -9,7 +9,7 @@ sums by prime-summand multisets.
 ``T(p, q)`` has ``Delta = t^c + sum(t^s - t^(s+1) for s in <p, q>, s < c)``
 with ``c = (p-1)(q-1)``: ``1 - t`` times the Poincare series of the semigroup
 ``<p, q>`` (Campillo, Delgado and Gusein-Zade, Duke Math. J. 117, 2003).
-The cost is linear in the genus ``c/2``.
+The cost is linear in the genus ``c/2``, which may be at most 10^5.
 
 Text form (round-trippable, parsed by :func:`parse_knot`):
 
@@ -195,6 +195,12 @@ def genus_of_knot(k: KnotExpr) -> KnotGenus:
     return KnotGenus(lower, upper)
 
 
+# Largest genus whose polynomial alexander_of_knot builds, and largest genus
+# of a stabilized tower polynomial.  Such a polynomial has breadth at most
+# 2g, so at most 2g + 1 terms; T(2, 200001) (genus 10^5) takes about 0.13 s.
+_MAX_GENUS = 10**5
+
+
 def _torus_alexander(p: int, q: int) -> LaurentPoly:
     # t^e has coefficient [e in S] - [e - 1 in S] for S = <p, q> and e <= c; b < p reaches all of S.
     c = (p - 1) * (q - 1)
@@ -208,9 +214,13 @@ def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
 
     Multiplicative over connected sums (the satellite formula with winding
     one).  Raises :class:`InvariantUnavailable` for a table knot without a
-    declared polynomial.
+    declared polynomial, and ``ValueError`` for a knot whose genus exceeds
+    10^5.
     """
     k = normalize(k)
+    genus = genus_of_knot(k).lower
+    if genus > _MAX_GENUS:
+        raise ValueError(f"knot genus {genus} exceeds the limit {_MAX_GENUS}")
     if isinstance(k, Unknot):
         return ONE
     if isinstance(k, Torus):

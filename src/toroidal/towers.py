@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .knots import (
+    _MAX_GENUS,
     UNKNOT,
     InvariantUnavailable,
     KnotExpr,
@@ -687,6 +688,8 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
     winding one and trivial patterns, so the polynomial of the defining
     tori stabilizes after the prefix and the fold
     ``D'(t) = D_pattern(t) * D_core(t^w)`` along the prefix computes it.
+    Raises ``ValueError`` when the genus exceeds 10^5, or when a step of
+    the fold would reach a breadth above 2 * 10^5.
     """
     return _alexander(_analyze(tower))
 
@@ -700,9 +703,23 @@ def _alexander(a: _Analysis) -> LaurentPoly:
         raise PreconditionError(
             "GenusNotExact", "the genus could not be pinned to an exact value"
         )
+    if a.genus.value > _MAX_GENUS:
+        raise ValueError(
+            f"the stabilized polynomial has genus {a.genus.value}, "
+            f"which exceeds the limit {_MAX_GENUS}"
+        )
     delta = alexander_of_knot(a.tower.initial)
     for stage in a.tower.prefix:
         pat = _stage_delta(stage)
+        # Breadth adds under products and scales under t -> t^w.  Polynomials
+        # of genus within the limit stay within twice it; a tower whose
+        # pattern genus is left out need not, so each step is checked.
+        breadth = pat.breadth() + stage.winding * delta.breadth()
+        if breadth > 2 * _MAX_GENUS:
+            raise ValueError(
+                f"the Alexander fold reaches breadth {breadth}, "
+                f"which exceeds twice the genus limit {_MAX_GENUS}"
+            )
         if stage.winding == 0:
             delta = pat  # the inner torus sits in a ball: its type is the pattern's
         else:

@@ -1,5 +1,6 @@
-"""Shared helpers: a random validated-tower generator, a T(2, n) PD code
-generator, the mirror of a Laurent polynomial and suite timing."""
+"""Shared helpers: a random validated-tower generator, PD code generators
+(T(2, n), braid closures, connected sums, mirrors), the mirror of a Laurent
+polynomial and suite timing."""
 
 from __future__ import annotations
 
@@ -81,6 +82,71 @@ def torus_2_pd(n: int) -> str:
         under, over = (n + 1 + k, 1 + k) if k % 2 == 0 else (1 + k, n + 1 + k)
         quads.append(f"X[{label(under)},{label(over)},{label(under + 1)},{label(over + 1)}]")
     return "PD[" + ",".join(quads) + "]"
+
+
+Quad = tuple[int, int, int, int]
+
+
+def braid_closure_quads(p: int, q: int) -> list[Quad]:
+    """PD quads of the closure of the braid (s1 s2 ... s(p-1))^q.
+
+    For coprime ``p, q >= 2`` this is the torus knot T(p, q), with
+    (p - 1) q crossings and p Seifert circles.  Generator ``i`` takes the
+    strand at position ``i - 1`` under the one at position ``i``; each
+    crossing is recorded as (under in, over in, under out, over out).
+    """
+    at = list(range(p))  # edge id at each strand position
+    crossings = []
+    for k in range(q * (p - 1)):
+        i = k % (p - 1) + 1
+        edges = [at[i - 1], at[i], p + 2 * k, p + 2 * k + 1]
+        crossings.append(edges)
+        at[i - 1], at[i] = edges[3], edges[2]
+    closing = {edge: pos for pos, edge in enumerate(at)}
+    crossings = [[closing.get(e, e) for e in x] for x in crossings]
+    # Number the edges 1, 2, ... along the knot.
+    after = {x[0]: x[2] for x in crossings} | {x[1]: x[3] for x in crossings}
+    label, e = {}, 0
+    while e not in label:
+        label[e] = len(label) + 1
+        e = after[e]
+    if len(label) != len(after):
+        raise ValueError(f"the closure of T({p},{q}) has more than one component")
+    return [tuple(label[e] for e in x) for x in crossings]
+
+
+def connected_sum_quads(k1: list[Quad], k2: list[Quad]) -> list[Quad]:
+    """PD quads of the connected sum: ``k2`` is spliced into the last edge of
+    ``k1``, and the labels run along ``k1`` and then along ``k2``."""
+    e1, e2 = 2 * len(k1), 2 * len(k2)
+    return _spliced(k1, 0, e1 + e2) + _spliced(k2, e1, e1)
+
+
+def _spliced(quads: list[Quad], shift: int, head: int) -> list[Quad]:
+    """``quads`` with labels shifted by ``shift``, and the head of the last
+    edge (where it enters a crossing) relabeled ``head``."""
+    last = 2 * len(quads)
+    out = []
+    for a, b, c, d in quads:
+        # The over-strand runs from label x to x + 1, so ``last`` enters a
+        # crossing as its over-strand when the other over label is 1.
+        out.append((
+            head if a == last else a + shift,
+            head if b == last and d == 1 else b + shift,
+            c + shift,
+            head if d == last and b == 1 else d + shift,
+        ))
+    return out
+
+
+def mirror_quads(quads: list[Quad]) -> list[Quad]:
+    """The mirror image: reflecting the plane reverses each crossing's
+    cyclic order, so every crossing changes sign."""
+    return [(a, d, c, b) for a, b, c, d in quads]
+
+
+def pd_text(quads: list[Quad]) -> str:
+    return "PD[" + ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in quads) + "]"
 
 
 def mirror(p: LaurentPoly) -> LaurentPoly:

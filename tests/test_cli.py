@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,52 @@ def test_tower_report_winding_cap(tmp_path):
         path.write_text(json.dumps({"initial": "unknot", "cycle": [{"kind": kind, "w": 2**40}]}))
         code, out, _ = run(["--json", "tower", "report", str(path)])
         assert code == 0 and json.loads(out)["steinitz"] == "2^inf"
+
+
+def fold_tower(stages: int, w: int, pattern: str, pattern_genus: int | None, tail=()) -> dict:
+    """Generic stages of winding ``w`` with the genus declared as small as
+    the satellite inequality allows: the polynomial folds once per stage."""
+    genus, prefix = 1, []
+    for _ in range(stages):
+        genus = w * genus + (pattern_genus or 0)
+        stage = {"kind": "generic", "w": w, "pattern_delta": pattern, "declared_genus": genus}
+        if pattern_genus is not None:
+            stage["pattern_genus"] = pattern_genus
+        prefix.append(stage)
+    return {"initial": "torus(2,3)", "prefix": prefix + list(tail), "cycle": [{"kind": "core_parallel"}]}
+
+
+def test_genus_limit_exit_2(tmp_path):
+    start = time.perf_counter()
+    code, out, err = run(["knot", "alexander", "torus(100001,100003)"])
+    assert code == 2 and out == ""
+    assert "knot genus 5000100000 exceeds the limit 100000" in err
+    assert time.perf_counter() - start < 1
+
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps(fold_tower(20, 3, "1 - t + t^2", 1)))
+    start = time.perf_counter()
+    code, out, err = run(["tower", "report", str(path)])
+    assert code == 2 and out == ""
+    assert "genus 5230176601, which exceeds the limit 100000" in err
+    assert time.perf_counter() - start < 1
+
+    for doc in [
+        # No pattern genus: the genus doubles while the terms triple.
+        fold_tower(14, 2, "1 - t + t^1000000", None),
+        # The polynomial grows past the limit, then a winding-0 stage
+        # leaves a genus-0 tower.
+        fold_tower(16, 3, "1 - t + t^2", 1, [{"kind": "generic", "w": 0, "pattern_genus": 0}]),
+    ]:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["tower", "report", str(path)])
+        assert code == 2 and out == ""
+        assert "exceeds twice the genus limit 100000" in err
+
+    # Under the limit the fold is reported.
+    path.write_text(json.dumps(fold_tower(10, 3, "1 - t + t^2", 1)))
+    code, out, _ = run(["--json", "tower", "report", str(path)])
+    assert code == 0 and json.loads(out)["genus"] == "exact:88573"
 
 
 def test_tower_report_reads_files(tmp_path):

@@ -1,26 +1,36 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import mirror, torus_2_pd
+from conftest import (
+    braid_closure_quads,
+    connected_sum_quads,
+    mirror,
+    mirror_quads,
+    pd_text,
+    torus_2_pd,
+)
+from toroidal import diagrams
 from toroidal.diagrams import (
     MAX_CROSSINGS,
-    InternalInconsistencyError,
     PDSyntaxError,
     PDValidationError,
     alexander_from_diagram,
-    alexander_matrix,
     corpus_names,
     genus_bounds,
     load_corpus_diagram,
     parse_pd,
     seifert_circle_count,
     seifert_genus_upper,
+    _alexander_minor,
+    _bareiss,
     _det_kronecker,
+    _wirtinger_rows,
 )
 from toroidal.knots import Sum, TABLE_KNOTS, Torus, alexander_of_knot, genus_of_knot
-from toroidal.laurent import ONE, ZERO, LaurentPoly, T, parse_poly
+from toroidal.laurent import ONE, ZERO, LaurentPoly, parse_poly
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIGURE_EIGHT_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -45,10 +55,30 @@ def cofactor_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return rows[0][0]
     total = ZERO
     for j in range(n):
+        if rows[0][j].is_zero():
+            continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = rows[0][j] * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def dense(rows: list[dict[int, tuple[int, ...]]], n: int) -> list[list[LaurentPoly]]:
+    """Sparse rows of coefficient tuples as an n-column matrix over Z[t]."""
+    return [[LaurentPoly(dict(enumerate(row.get(j, ())))) for j in range(n)] for row in rows]
+
+
+def sparse(rows: list[list[LaurentPoly]]) -> list[dict[int, tuple[int, ...]]]:
+    """A matrix over Z[t] as sparse rows of coefficient tuples."""
+    out = []
+    for row in rows:
+        entries = {}
+        for j, entry in enumerate(row):
+            if not entry.is_zero():
+                coeffs = dict(entry.terms)
+                entries[j] = tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
+        out.append(entries)
+    return out
 
 
 # -- parsing ----------------------------------------------------------------
@@ -120,19 +150,19 @@ def test_trefoil_matrix_entries():
     so each row reads: over 1-t, incoming under -1, outgoing under t.
     """
     d = parse_pd(TREFOIL_PD)
-    rows = alexander_matrix(d)
+    rows = _wirtinger_rows(d)
     arc_of = {e + 1: a for e, a in enumerate(d.edge_arc)}
     A, B, C = arc_of[2], arc_of[4], arc_of[6]
     assert arc_of[3] == A and arc_of[5] == B and arc_of[1] == C
-    one_minus_t = ONE - T
-    assert rows[0][C] == -ONE and rows[0][A] == T and rows[0][B] == one_minus_t
-    assert rows[1][A] == -ONE and rows[1][B] == T and rows[1][C] == one_minus_t
-    assert rows[2][B] == -ONE and rows[2][C] == T and rows[2][A] == one_minus_t
+    minus_one, t, one_minus_t = (-1, 0), (0, 1), (1, -1)
+    assert rows[0] == {C: minus_one, A: t, B: one_minus_t}
+    assert rows[1] == {A: minus_one, B: t, C: one_minus_t}
+    assert rows[2] == {B: minus_one, C: t, A: one_minus_t}
 
 
 def test_trefoil_alexander_against_cofactor_minor():
     d = parse_pd(TREFOIL_PD)
-    rows = alexander_matrix(d)
+    rows = dense(_wirtinger_rows(d), d.n)
     minor = [row[:-1] for row in rows[:-1]]
     by_cofactor = cofactor_det(minor).canonical()
     assert by_cofactor == parse_poly("1 - t + t^2")
@@ -141,7 +171,7 @@ def test_trefoil_alexander_against_cofactor_minor():
 
 def test_figure_eight_alexander_against_cofactor_minor():
     d = parse_pd(FIGURE_EIGHT_PD)
-    rows = alexander_matrix(d)
+    rows = dense(_wirtinger_rows(d), d.n)
     minor = [row[:-1] for row in rows[:-1]]
     assert cofactor_det(minor).canonical() == parse_poly("1 - 3*t + t^2")
     assert alexander_from_diagram(d) == parse_poly("1 - 3*t + t^2")
@@ -155,7 +185,7 @@ _POLY = st.dictionaries(st.integers(0, 2), st.integers(-50, 50), max_size=3).map
 @st.composite
 def _matrices(draw):
     """Square matrices over Z[t] of size 1..5; some singular, some with a
-    zero leading column entry that forces a row swap."""
+    zero top-left entry."""
     n = draw(st.integers(1, 5))
     rows = [[draw(_POLY) for _ in range(n)] for _ in range(n)]
     if n > 1 and draw(st.booleans()):
@@ -170,18 +200,145 @@ def _matrices(draw):
 
 @given(_matrices())
 def test_det_kronecker_matches_cofactor_expansion(rows):
-    assert _det_kronecker(rows) == cofactor_det(rows)
+    assert _det_kronecker(sparse(rows)) == cofactor_det(rows)
 
 
-# -- closed forms at larger sizes -------------------------------------------
+# -- the sparse integer elimination against cofactor expansion --------------
+
+_ENTRY = st.integers(-30, 30).filter(bool)
+
+
+def check_bareiss(rows: list[dict[int, int]]) -> None:
+    expected = cofactor_det(dense([{j: (v,) for j, v in row.items()} for row in rows], len(rows)))
+    assert LaurentPoly({0: _bareiss([dict(row) for row in rows])}) == expected
+
+
+@st.composite
+def _sparse_integer_matrices(draw, sizes=st.integers(1, 8), per_row=st.integers(1, 3)):
+    """Square integer matrices as sparse rows with few nonzeros per row.
+
+    Most entries below each pivot are zero, and most pivot rows sat out
+    earlier steps, so they are rescaled first.  Some matrices are made
+    singular by replacing a row with a combination of two others, which may
+    cancel entries, and some have an empty column."""
+    n = draw(sizes)
+    diagonal = draw(st.permutations(range(n)))  # keeps most of them nonsingular
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != diagonal[i]]
+        k = min(draw(per_row), n) - 1
+        extra = draw(st.lists(st.sampled_from(others), min_size=k, max_size=k, unique=True)) if k else []
+        rows.append({j: draw(_ENTRY) for j in [diagonal[i], *extra]})
+    if n > 2 and draw(st.booleans()):
+        i, a, b = draw(st.permutations(range(n)))[:3]
+        x, y = draw(_ENTRY), draw(_ENTRY)
+        combined = {j: x * rows[a].get(j, 0) + y * rows[b].get(j, 0) for j in rows[a].keys() | rows[b].keys()}
+        rows[i] = {j: v for j, v in combined.items() if v}
+    return rows
+
+
+@settings(deadline=None)
+@given(_sparse_integer_matrices())
+def test_bareiss_matches_cofactor_expansion(rows):
+    check_bareiss(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sparse_integer_matrices(sizes=st.integers(6, 8), per_row=st.just(3)))
+def test_bareiss_on_three_nonzeros_per_row(rows):
+    check_bareiss(rows)
+
+
+def test_bareiss_examples():
+    # Row 5 changes at step 0, sits out steps 1 to 3 and is divided by the
+    # pivot of step 0 (-2) at step 4.
+    check_bareiss([{2: 3, 4: -2, 5: 5}, {1: -2}, {0: -3, 2: 2, 3: 7},
+                   {0: 5, 3: 2, 4: 7}, {0: 3, 2: -3}, {0: 2, 1: -2, 5: 7}])
+    # Row 0 changes at step 1, sits out steps 2 and 3 and is rescaled to
+    # step 4, where it is the pivot row.
+    check_bareiss([{0: 5, 1: -3, 5: 5}, {2: -2, 4: -2, 5: 2}, {1: 7, 2: 7, 4: 3},
+                   {3: 2, 4: 5, 5: 7}, {0: -2}, {1: 2, 2: 5}])
+    assert _bareiss([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 0  # singular
+    assert _bareiss([{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 6}]) == 0  # column 2 is empty
+    assert _det_kronecker([{0: (1, 1)}, {0: (0, 1)}]) == ZERO
+    assert _bareiss([]) == 1
+
+
+# -- one determinant per diagram --------------------------------------------
+
+
+def test_one_determinant_per_diagram(monkeypatch):
+    calls = []
+    bareiss = diagrams._bareiss
+    monkeypatch.setattr(diagrams, "_bareiss", lambda rows: calls.append(len(rows)) or bareiss(rows))
+    d = parse_pd(FIGURE_EIGHT_PD)
+    assert alexander_from_diagram(d) == parse_poly("1 - 3*t + t^2")
+    assert genus_bounds(d) == (1, 1)
+    assert calls == [3]
+    again = parse_pd(FIGURE_EIGHT_PD)
+    assert again == d and again is not d
+    assert genus_bounds(again) == (1, 1)
+    assert calls == [3, 3]  # no cache outside the diagram
+
+
+# -- closed forms over generated diagrams -----------------------------------
 
 
 def test_torus_2_n_diagrams_match_the_closed_forms():
-    for n in range(3, 62, 2):
+    for n in range(3, 100, 2):
         d = parse_pd(torus_2_pd(n))
         assert alexander_from_diagram(d) == alexander_of_knot(Torus(2, n))
         g = (n - 1) // 2
         assert genus_bounds(d) == (g, g)
+
+
+# Every braid closure T(p, q) with (p - 1) q <= MAX_CROSSINGS crossings:
+# 218 diagrams, all of them, since together they take under 2 s.
+TORUS_PAIRS = [
+    (p, q)
+    for p in range(2, MAX_CROSSINGS + 1)
+    for q in range(2, MAX_CROSSINGS // (p - 1) + 1)
+    if math.gcd(p, q) == 1
+]
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in TORUS_PAIRS}))
+def test_braid_closures_match_the_closed_forms(p):
+    for q in (q for pp, q in TORUS_PAIRS if pp == p):
+        d = parse_pd(pd_text(braid_closure_quads(p, q)))
+        assert d.n == (p - 1) * q
+        assert alexander_from_diagram(d) == alexander_of_knot(Torus(p, q))
+        g = (p - 1) * (q - 1) // 2
+        assert genus_bounds(d) == (g, g)
+
+
+# Summands as (p, q, mirrored); every sum has at most 100 crossings.
+SUMS = [
+    [(2, 3, False), (2, 3, False)],
+    [(2, 3, False), (2, 3, True)],
+    [(3, 4, True), (2, 5, False), (2, 3, False)],
+    [(5, 6, False), (3, 7, False), (2, 11, True), (2, 9, False)],
+    [(4, 13, False), (3, 29, True)],
+    [(11, 9, True), (2, 5, False)],
+    [(7, 15, True)],
+    [(2, 49, False), (2, 51, True)],
+]
+
+
+@pytest.mark.parametrize("parts", SUMS, ids=str)
+def test_sums_and_mirrors_match_the_closed_forms(parts):
+    quads = []
+    for p, q, mirrored in parts:
+        summand = braid_closure_quads(p, q)
+        summand = mirror_quads(summand) if mirrored else summand
+        quads = connected_sum_quads(quads, summand) if quads else summand
+    d = parse_pd(pd_text(quads))
+    assert d.n == sum((p - 1) * q for p, q, _ in parts) <= MAX_CROSSINGS
+    knot = Sum(tuple(Torus(p, q) for p, q, _ in parts))
+    assert alexander_from_diagram(d) == alexander_of_knot(knot)
+    g = genus_of_knot(knot).lower
+    assert genus_bounds(d) == (g, g)
+    assert genus_bounds(parse_pd(pd_text(mirror_quads(quads)))) == (g, g)
 
 
 # -- Seifert circles ---------------------------------------------------------
@@ -228,7 +385,7 @@ def test_minor_independence(name):
     d = load_corpus_diagram(name)
     reference = alexander_from_diagram(d)
     for i, j in itertools.product(range(d.n), repeat=2):
-        assert alexander_from_diagram(d, drop_row=i, drop_col=j) == reference
+        assert _alexander_minor(d, i, j) == reference
 
 
 def test_granny_is_a_square_of_the_trefoil_polynomial():

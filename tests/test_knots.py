@@ -110,6 +110,18 @@ def test_long_flat_sum_parses_in_linear_time():
     assert k == Sum((Torus(2, 3),) * 200_000)
 
 
+def test_alexander_genus_limit():
+    # T(2, 200001) has genus 10^5, the largest allowed.
+    assert len(alexander_of_knot(Torus(2, 200001)).terms) == 200_001
+    for knot, genus in [
+        (Torus(2, 200003), 100_001),
+        (Torus(100001, 100003), 5_000_100_000),
+        (Sum((Torus(2, 100001), Torus(2, 100003))), 100_001),
+    ]:
+        with pytest.raises(ValueError, match=f"knot genus {genus} exceeds the limit 100000"):
+            alexander_of_knot(knot)
+
+
 def test_torus_alexander_times_its_denominator():
     # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), checked by multiplying back.
     def binomial(n):
