@@ -34,8 +34,11 @@ exactly unknotted, the preferred framing extends over the ambient space,
 so the inner core's knot type equals the pattern's.  Every other stage
 only yields the inequality above.
 
-The classifiers read one private analysis record.  ``_analyze`` walks the
-unrolled tower once for the validation report and the chain states, raises
+Each fact is computed once, when first read, and kept on the frozen value
+it derives from: a :class:`Stage` keeps its pattern bound and its contract
+faults, and a :class:`Tower` keeps its one walk of the unrolled tower (the
+validation report and the chain states).  The classifiers read one private
+analysis record: ``_analyze`` takes that walk, raises
 :class:`InvalidTowerError` on an invalid tower, and keeps the states with
 the cohomology profile and genus read off them.  A report builds one record.
 """
@@ -44,7 +47,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -117,6 +121,21 @@ class StageKind(str, enum.Enum):
     GENERIC = "generic"
 
 
+# Each kind's field defaults, read by the stage constructors and the JSON
+# loader; ``wind`` and ``generic`` have no default winding.
+_STAGE_DEFAULTS: dict[StageKind, dict] = {
+    StageKind.CORE_PARALLEL: {"winding": 1, "pattern_genus": 0, "pattern_delta": ONE, "concentric": True},
+    StageKind.SWALLOW: {"winding": 1},
+    StageKind.WIND: {"pattern_genus": 0, "pattern_delta": ONE},
+    StageKind.GENERIC: {},
+}
+
+# Largest winding a stage may have.  The cohomology factors each winding by
+# trial division, whose cost grows with its square root: a prime just under
+# the limit takes about 0.15 s (Xeon, Python 3.11).
+_MAX_WINDING = 2**40
+
+
 @dataclass(frozen=True)
 class Stage:
     """One nesting step: the data of the pair (outer torus, inner torus).
@@ -129,7 +148,8 @@ class Stage:
     is an externally asserted exact genus of the inner torus.  ``concentric``
     asserts that the region between the tori is a product; it is declared
     input, with its necessary conditions (winding one, trivial pattern)
-    enforced by the validator.
+    enforced by the validator.  The pattern bound and the stage-contract
+    faults depend on the stage alone; each is kept on it when first read.
     """
 
     kind: StageKind
@@ -140,10 +160,88 @@ class Stage:
     concentric: bool = False
     knot: KnotExpr | None = None
 
+    @cached_property
+    def _pattern_bound(self) -> tuple[int, bool]:
+        """Lower bound for the pattern genus and whether it is exact."""
+        if self.kind is StageKind.SWALLOW and self.knot is not None:
+            g = genus_of_knot(self.knot)
+            return (g.lower, g.is_exact)
+        if self.pattern_genus is not None:
+            return (self.pattern_genus, True)
+        return (0, False)
+
+    @cached_property
+    def _faults(self) -> tuple[tuple[ViolationKind, str], ...]:
+        """The stage-contract faults, as ``(kind, message)`` pairs."""
+        out: list[tuple[ViolationKind, str]] = []
+
+        def bad(kind: ViolationKind, msg: str) -> None:
+            out.append((kind, msg))
+
+        if self.winding < 0:
+            bad(ViolationKind.MALFORMED_STAGE, f"negative winding {self.winding}")
+        if self.winding > _MAX_WINDING:
+            bad(ViolationKind.MALFORMED_STAGE, f"winding {self.winding} exceeds the limit 2^40")
+        if self.pattern_genus is not None and self.pattern_genus < 0:
+            bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {self.pattern_genus}")
+        if self.declared_genus is not None and self.declared_genus < 0:
+            bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {self.declared_genus}")
+
+        if self.concentric and self.kind in (StageKind.SWALLOW, StageKind.WIND):
+            bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{self.kind.value} stage cannot be concentric")
+
+        trivial_pattern = self._pattern_bound == (0, True) and (
+            self.pattern_delta is None or self.pattern_delta.is_unit()
+        )
+        if self.kind is StageKind.CORE_PARALLEL:
+            if self.winding != 1 or not trivial_pattern:
+                bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
+            if not self.concentric:
+                bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must be concentric")
+        elif self.kind is StageKind.SWALLOW:
+            if self.winding != 1:
+                bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
+            if self.knot is None:
+                bad(ViolationKind.MALFORMED_STAGE, "swallow stage carries no knot")
+            if self.pattern_genus is not None or self.pattern_delta is not None:
+                bad(
+                    ViolationKind.MALFORMED_STAGE,
+                    "swallow stage takes its pattern from its knot, not from pattern fields",
+                )
+        elif self.kind is StageKind.WIND:
+            if not trivial_pattern:
+                bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
+        if self.knot is not None and self.kind is not StageKind.SWALLOW:
+            bad(ViolationKind.MALFORMED_STAGE, f"{self.kind.value} stage takes no knot; only swallow does")
+
+        if self.concentric and self.kind is not StageKind.CORE_PARALLEL:
+            if self.winding != 1 or not trivial_pattern:
+                bad(
+                    ViolationKind.CONCENTRICITY_CONTRACT,
+                    "a concentric stage needs winding 1 and a trivial pattern",
+                )
+
+        if self.pattern_delta is not None and not self.pattern_delta.is_zero():
+            if abs(self.pattern_delta.evaluate_at_one()) != 1:
+                bad(
+                    ViolationKind.MALFORMED_STAGE,
+                    f"pattern polynomial has |value at 1| = "
+                    f"{abs(self.pattern_delta.evaluate_at_one())}, knots require 1",
+                )
+            if self.pattern_genus is not None and self.pattern_delta.breadth() > 2 * self.pattern_genus:
+                bad(
+                    ViolationKind.MALFORMED_STAGE,
+                    f"pattern polynomial breadth {self.pattern_delta.breadth()} exceeds "
+                    f"twice the pattern genus {self.pattern_genus}",
+                )
+        if self.pattern_delta is not None and self.pattern_delta.is_zero():
+            bad(ViolationKind.MALFORMED_STAGE, "pattern polynomial cannot be zero")
+        return tuple(out)
+
 
 def core_parallel() -> Stage:
     """A concentric parallel copy: winding one, trivial pattern."""
-    return Stage(StageKind.CORE_PARALLEL, 1, 0, ONE, None, True)
+    return Stage(StageKind.CORE_PARALLEL, **_STAGE_DEFAULTS[StageKind.CORE_PARALLEL])
 
 
 def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
@@ -151,12 +249,13 @@ def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
 
     The stage stores only the knot; its invariants are computed when read.
     """
-    return Stage(StageKind.SWALLOW, 1, None, None, declared_genus, False, normalize(knot))
+    defaults = _STAGE_DEFAULTS[StageKind.SWALLOW]
+    return Stage(StageKind.SWALLOW, **defaults, declared_genus=declared_genus, knot=normalize(knot))
 
 
 def wind(w: int, declared_genus: int | None = None) -> Stage:
     """Wind ``w`` times with a trivial pattern, the solenoid stage."""
-    return Stage(StageKind.WIND, w, 0, ONE, declared_genus, False)
+    return Stage(StageKind.WIND, w, **_STAGE_DEFAULTS[StageKind.WIND], declared_genus=declared_genus)
 
 
 def generic(
@@ -173,13 +272,18 @@ def generic(
 
 @dataclass(frozen=True)
 class Tower:
-    """Eventually periodic defining sequence of a toroidal set."""
+    """Eventually periodic defining sequence of a toroidal set.  Its one walk,
+    the validation report and the genus chain, is kept on it when first read."""
 
     name: str
     initial: KnotExpr
     prefix: tuple[Stage, ...] = ()
     cycle: tuple[Stage, ...] = ()
     initial_genus: int | None = None
+
+    @cached_property
+    def _walked(self) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
+        return _walk(self)
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +340,13 @@ class _ChainState:
     exact: bool
 
 
-def _pattern_bound(stage: Stage) -> tuple[int, bool]:
-    """Lower bound for the pattern genus and whether it is exact."""
-    if stage.kind is StageKind.SWALLOW and stage.knot is not None:
-        g = genus_of_knot(stage.knot)
-        return (g.lower, g.is_exact)
-    if stage.pattern_genus is not None:
-        return (stage.pattern_genus, True)
-    return (0, False)
-
-
 def _stage_transfer(state: _ChainState, stage: Stage) -> tuple[_ChainState, str | None]:
     """Apply one stage to the genus chain.
 
     Returns the new state and, when a declared genus contradicts the chain,
     a message describing the failed inequality.
     """
-    plb, pexact = _pattern_bound(stage)
+    plb, pexact = stage._pattern_bound
     w = stage.winding
     if w == 0 or (state.exact and state.bound == 0):
         # The inner torus sits in a ball, or the outer torus is exactly
@@ -319,77 +413,8 @@ def _unrolled(tower: Tower, passes: int = 2) -> Iterable[tuple[Stage, str]]:
             yield s, f"cycle[{j}] (periodic)"
 
 
-# Largest winding a stage may have.  The cohomology factors each winding by
-# trial division, whose cost grows with its square root: a prime just under
-# the limit takes about 0.15 s (Xeon, Python 3.11).
-_MAX_WINDING = 2**40
-
-
 def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
-    out: list[Violation] = []
-
-    def bad(kind: ViolationKind, msg: str) -> None:
-        out.append(Violation(kind, where, msg))
-
-    if stage.winding < 0:
-        bad(ViolationKind.MALFORMED_STAGE, f"negative winding {stage.winding}")
-    if stage.winding > _MAX_WINDING:
-        bad(ViolationKind.MALFORMED_STAGE, f"winding {stage.winding} exceeds the limit 2^40")
-    if stage.pattern_genus is not None and stage.pattern_genus < 0:
-        bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {stage.pattern_genus}")
-    if stage.declared_genus is not None and stage.declared_genus < 0:
-        bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {stage.declared_genus}")
-
-    if stage.concentric and stage.kind in (StageKind.SWALLOW, StageKind.WIND):
-        bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{stage.kind.value} stage cannot be concentric")
-
-    trivial_pattern = _pattern_bound(stage) == (0, True) and (
-        stage.pattern_delta is None or stage.pattern_delta.is_unit()
-    )
-    if stage.kind is StageKind.CORE_PARALLEL:
-        if stage.winding != 1 or not trivial_pattern:
-            bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
-        if not stage.concentric:
-            bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must be concentric")
-    elif stage.kind is StageKind.SWALLOW:
-        if stage.winding != 1:
-            bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
-        if stage.knot is None:
-            bad(ViolationKind.MALFORMED_STAGE, "swallow stage carries no knot")
-        if stage.pattern_genus is not None or stage.pattern_delta is not None:
-            bad(
-                ViolationKind.MALFORMED_STAGE,
-                "swallow stage takes its pattern from its knot, not from pattern fields",
-            )
-    elif stage.kind is StageKind.WIND:
-        if not trivial_pattern:
-            bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
-    if stage.knot is not None and stage.kind is not StageKind.SWALLOW:
-        bad(ViolationKind.MALFORMED_STAGE, f"{stage.kind.value} stage takes no knot; only swallow does")
-
-    if stage.concentric and stage.kind is not StageKind.CORE_PARALLEL:
-        if stage.winding != 1 or not trivial_pattern:
-            bad(
-                ViolationKind.CONCENTRICITY_CONTRACT,
-                "a concentric stage needs winding 1 and a trivial pattern",
-            )
-
-    if stage.pattern_delta is not None and not stage.pattern_delta.is_zero():
-        if abs(stage.pattern_delta.evaluate_at_one()) != 1:
-            bad(
-                ViolationKind.MALFORMED_STAGE,
-                f"pattern polynomial has |value at 1| = "
-                f"{abs(stage.pattern_delta.evaluate_at_one())}, knots require 1",
-            )
-        if stage.pattern_genus is not None and stage.pattern_delta.breadth() > 2 * stage.pattern_genus:
-            bad(
-                ViolationKind.MALFORMED_STAGE,
-                f"pattern polynomial breadth {stage.pattern_delta.breadth()} exceeds "
-                f"twice the pattern genus {stage.pattern_genus}",
-            )
-    if stage.pattern_delta is not None and stage.pattern_delta.is_zero():
-        bad(ViolationKind.MALFORMED_STAGE, "pattern polynomial cannot be zero")
-    return out
+    return [Violation(kind, where, message) for kind, message in stage._faults]
 
 
 def _walk(tower: Tower) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
@@ -420,7 +445,7 @@ def validate_tower(tower: Tower) -> ValidationReport:
     against the values they themselves force, which settles all later
     passes by periodicity.
     """
-    return _walk(tower)[0]
+    return tower._walked[0]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +636,7 @@ def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
     cycle_ws = [s.winding for s in tower.cycle]
     all_ge1 = all(w >= 1 for w in cycle_ws)
 
-    if all_ge1 and any(_pattern_bound(s)[0] > 0 for s in tower.cycle):
+    if all_ge1 and any(s._pattern_bound[0] > 0 for s in tower.cycle):
         return GenusResult.infinite(GenusRule.STRONGLY_KNOTTED)
 
     # The chain entering the cycle, then after each cycle pass of the walk.
@@ -655,7 +680,7 @@ class _Analysis:
 
 def _analyze(tower: Tower) -> _Analysis:
     """Validate ``tower`` and analyze it from the same walk of its chain."""
-    report, states = _walk(tower)
+    report, states = tower._walked
     if not report.ok:
         raise InvalidTowerError(report)
     return _Analysis(tower, states, _cohomology(tower), _genus(tower, states))
@@ -1071,21 +1096,17 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
 
     knot = _field(obj, "knot", where, str, ... if kind is StageKind.SWALLOW else None)
     knot = None if knot is None else parse_knot(knot)
-    if kind is StageKind.SWALLOW:
-        stage = swallow(knot)
-    elif kind is StageKind.CORE_PARALLEL:
-        stage = core_parallel()
-    else:
-        stage = (wind if kind is StageKind.WIND else generic)(_field(obj, "w", where, int))
+    defaults = _STAGE_DEFAULTS[kind]
+    winding = _field(obj, "w", where, int, defaults.get("winding", ...))
     delta = _field(obj, "pattern_delta", where, str, None)
-    stage = replace(
-        stage,
-        winding=_field(obj, "w", where, int, stage.winding),
-        pattern_genus=_field(obj, "pattern_genus", where, int, stage.pattern_genus),
-        pattern_delta=stage.pattern_delta if delta is None else parse_poly(delta),
-        declared_genus=_field(obj, "declared_genus", where, int, None),
-        concentric=_field(obj, "concentric", where, bool, stage.concentric),
-        knot=knot,
+    stage = Stage(
+        kind,
+        winding,
+        _field(obj, "pattern_genus", where, int, defaults.get("pattern_genus")),
+        defaults.get("pattern_delta") if delta is None else parse_poly(delta),
+        _field(obj, "declared_genus", where, int, None),
+        _field(obj, "concentric", where, bool, defaults.get("concentric", False)),
+        knot,
     )
     if kind is not StageKind.GENERIC:
         violations = _stage_contract_violations(stage, where)

@@ -1,12 +1,16 @@
 import io
 import json
+import math
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import torus_2_pd
+from conftest import pd_text, torus_2_pd
 from toroidal.cli import main
+from toroidal.laurent import LaurentPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 CATALOG_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -163,6 +167,23 @@ def test_genus_limit_exit_2(tmp_path):
     assert code == 0 and json.loads(out)["genus"] == "exact:88573"
 
 
+def test_product_limit_exit_2():
+    # Both factors are within the genus limit; their product is not formed.
+    start = time.perf_counter()
+    code, out, err = run(["knot", "alexander", "sum(torus(2,100001); torus(2,100001))"])
+    assert code == 2 and out == ""
+    assert "a product of 100001 by 100001 terms exceeds the limit of 10000000 term pairs" in err
+    assert time.perf_counter() - start < 1
+
+    # 3161^2 = 9,991,921 term pairs, just under the limit.  T(2, n) has
+    # Delta = sum of (-t)^i for 0 <= i < n, whose square has coefficient
+    # (-1)^k * min(k + 1, 2n - 1 - k) at t^k.
+    n = 3161
+    code, out, _ = run(["knot", "alexander", f"sum(torus(2,{n}); torus(2,{n}))"])
+    square = LaurentPoly({k: (-1) ** k * min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)})
+    assert code == 0 and out == f"{square}\n"
+
+
 def test_tower_report_reads_files(tmp_path):
     doc = {
         "name": "knotted_dyadic",
@@ -236,3 +257,108 @@ def test_catalog_dir_override(tmp_path, monkeypatch):
     assert code == 0 and "custom" in out
     code, out, _ = run(["--json", "catalog", "report", "custom"])
     assert code == 0 and json.loads(out)["genus"] == "exact:0"
+
+
+# -- hostile input ------------------------------------------------------------
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Torus parameters stay small so that a sum of four is far inside the limits.
+_KNOT = st.recursive(
+    st.sampled_from(["unknot", "table(figure_eight)", "table(5_2)"])
+    | st.tuples(st.integers(2, 25), st.integers(2, 25)).filter(lambda pq: math.gcd(*pq) == 1).map(
+        "torus({0[0]},{0[1]})".format
+    ),
+    lambda inner: st.lists(inner, min_size=1, max_size=4).map(lambda parts: f"sum({'; '.join(parts)})"),
+    max_leaves=4,
+)
+_KNOT_TEXT = (
+    _KNOT
+    | st.sampled_from(["sum()", "figure_eight", "table(7_1)", "torus(1,7)", "torus(4,6)", "torus(-2,3)"])
+    | st.text(alphabet="sumtorx(),;0123456789 -_", max_size=24)
+)
+_POLY_TEXT = st.sampled_from(["1", "0", "t", "-1", "1 - t + t^2", "1 - 3*t + t^2", "-2*t^-3 + 7"])
+_TYPED_STAGE = st.one_of(
+    st.just({"kind": "core_parallel"}),
+    st.fixed_dictionaries({"kind": st.just("swallow"), "knot": _KNOT}),
+    st.fixed_dictionaries(
+        {"kind": st.just("wind"), "w": st.integers(0, 3)}, optional={"declared_genus": st.integers(0, 3)}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("generic"), "w": st.integers(0, 3)},
+        optional={
+            "pattern_genus": st.integers(0, 3),
+            "pattern_delta": _POLY_TEXT,
+            "declared_genus": st.integers(0, 40),
+            "concentric": st.booleans(),
+        },
+    ),
+)
+_HOSTILE_STAGE = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(["core_parallel", "swallow", "wind", "generic", "bogus"]) | _ANY_JSON,
+        "w": st.integers(-2, 5) | st.sampled_from([2**40, 2**40 + 1]) | _ANY_JSON,
+        "knot": _KNOT_TEXT | _ANY_JSON,
+        "pattern_genus": st.integers(-1, 5) | _ANY_JSON,
+        "pattern_delta": _POLY_TEXT | st.text(alphabet="t^*+- 0123456789", max_size=16) | _ANY_JSON,
+        "declared_genus": st.integers(-1, 300) | _ANY_JSON,
+        "concentric": st.booleans() | _ANY_JSON,
+        "extra": _ANY_JSON,
+    },
+)
+_TYPED_TOWER = st.fixed_dictionaries(
+    {"initial": _KNOT, "cycle": st.lists(_TYPED_STAGE, min_size=1, max_size=3)},
+    optional={"prefix": st.lists(_TYPED_STAGE, max_size=5)},
+)
+_HOSTILE_TOWER = st.fixed_dictionaries(
+    {"initial": _KNOT_TEXT},
+    optional={
+        "name": st.text(max_size=6) | _ANY_JSON,
+        "initial_genus": st.integers(-1, 5) | _ANY_JSON,
+        "prefix": st.lists(_TYPED_STAGE | _HOSTILE_STAGE, max_size=5) | _ANY_JSON,
+        "cycle": st.lists(_TYPED_STAGE | _HOSTILE_STAGE, min_size=1, max_size=3) | _ANY_JSON,
+        "schema_version": st.sampled_from([1, 2]) | _ANY_JSON,
+    },
+)
+_PD_TEXT = (
+    st.sampled_from([3, 5, 7, 25, 101]).map(torus_2_pd)
+    | st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=12).map(pd_text)
+    | st.text(alphabet="PDX[], 0123456789", max_size=40)
+)
+_FILE = "<file>"
+_CLI_CASE = st.one_of(
+    st.tuples(st.sampled_from(["genus", "alexander"]), _KNOT_TEXT).map(
+        lambda c: (["knot", c[0], c[1]], None)
+    ),
+    st.tuples(st.sampled_from(["genus", "alexander"]), _PD_TEXT).map(
+        lambda c: (["diagram", c[0], _FILE], c[1])
+    ),
+    (_TYPED_TOWER | _HOSTILE_TOWER | _ANY_JSON).map(lambda doc: (["tower", "report", _FILE], json.dumps(doc))),
+    st.text(max_size=20).map(lambda text: (["tower", "report", _FILE], text)),
+    (st.sampled_from(CATALOG_NAMES) | st.text(alphabet="mask:01xyz", max_size=8)).map(
+        lambda name: (["catalog", "report", name], None)
+    ),
+    st.lists(st.sampled_from(["knot", "tower", "report", "catalog", "list", "genus", "-x", "--json"]),
+             max_size=4).map(lambda argv: (argv, None)),
+)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(case=_CLI_CASE, as_json=st.booleans())
+@example(case=(["tower", "report", _FILE], json.dumps(fold_tower(12, 3, "1 - t + t^2", 1))), as_json=True)
+@example(case=(["knot", "alexander", "sum(torus(2,100001); torus(2,100001))"], None), as_json=False)
+def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
+    argv, text = case
+    if text is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if arg == _FILE else arg for arg in argv]
+    code, out, err = run((["--json"] if as_json else []) + argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    # A failure always says why; a success says nothing on stderr.
+    assert (code == 0) == (err == "")

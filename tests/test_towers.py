@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -440,9 +441,32 @@ def test_tower_json_defaults_by_kind(tmp_path):
     assert t.cycle[0].concentric
     g = genus_of_tower(t)
     assert g.kind is GenusKind.EXACT and g.value == 3
+    # The loader and the constructors build each kind over the same defaults.
+    loaded = tower_from_dict({
+        "initial": "unknot",
+        "prefix": [
+            {"kind": "swallow", "knot": "sum(torus(3,2); unknot)"},
+            {"kind": "core_parallel"},
+            {"kind": "wind", "w": 3},
+        ],
+        "cycle": [{"kind": "generic", "w": 2}],
+    })
+    assert loaded.prefix == (swallow(TREFOIL), core_parallel(), wind(3))
+    assert loaded.cycle == (generic(2),)
 
 
 # -- one analysis per report --------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, calls: dict) -> None:
+    for name in calls:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
 
 
 def test_report_checks_each_stage_and_walks_the_chain_once(monkeypatch):
@@ -450,21 +474,64 @@ def test_report_checks_each_stage_and_walks_the_chain_once(monkeypatch):
     from toroidal.reports import build_report
 
     t = mask_tower("1", 64)
-    calls = {"_stage_contract_violations": 0, "_stage_transfer": 0}
-    for name in calls:
-        original = getattr(towers, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(towers, name, counted)
+    calls = {"_walk": 0, "_stage_contract_violations": 0, "_stage_transfer": 0}
+    _count_calls(monkeypatch, towers, calls)
+    # The validator and the report share the tower's one walk.
+    assert validate_tower(t).ok
     build_report(t)
     assert calls == {
+        "_walk": 1,
         "_stage_contract_violations": len(t.prefix) + len(t.cycle),
         "_stage_transfer": len(t.prefix) + 2 * len(t.cycle),
     }
     assert calls["_stage_contract_violations"] == 65
+    # Reading the tower again walks nothing.
+    validate_tower(t)
+    assert build_report(t) == build_report(mask_tower("1", 64))
+    assert calls["_walk"] == 2
+
+
+def test_each_knot_genus_is_computed_once(monkeypatch):
+    import toroidal.towers as towers
+    from toroidal.reports import build_report
+
+    calls = {"genus_of_knot": 0}
+    _count_calls(monkeypatch, towers, calls)
+    doc = tower_to_dict(mask_tower("1", 64))
+    t = tower_from_dict(doc)
+    # The loader checks each stage contract, which reads the pattern bound.
+    assert calls["genus_of_knot"] == len(t.prefix) + len(t.cycle) == 65
+    assert validate_tower(t).ok
+    report = build_report(t)
+    assert report["genus"] == "infinite"
+    # One more for the initial knot; the walk reads the kept bounds, and the
+    # cycle stage, walked twice and read by the genus rule, is not recomputed.
+    assert calls["genus_of_knot"] == 66
+
+
+def test_walk_is_kept_per_value(monkeypatch):
+    import toroidal.towers as towers
+    from toroidal.reports import build_report
+
+    walked = mask_tower("1", 8)
+    assert validate_tower(walked).ok and build_report(walked)["genus"] == "infinite"
+    fresh = mask_tower("1", 8)
+    # The kept walk is no field: equality, hash and the JSON form ignore it.
+    assert walked == fresh and hash(walked) == hash(fresh)
+    assert tower_to_dict(walked) == tower_to_dict(fresh)
+    assert repr(walked) == repr(fresh)
+
+    calls = {"_walk": 0}
+    _count_calls(monkeypatch, towers, calls)
+    # A replaced tower is a new value with a walk of its own.
+    tame = dataclasses.replace(walked, cycle=(core_parallel(),))
+    report = build_report(tame)
+    assert calls["_walk"] == 1
+    assert report["genus"] == "exact:120" and report["h1"] == "z"
+    assert report == build_report(Tower(walked.name, UNKNOT, walked.prefix, (core_parallel(),)))
+    bad = dataclasses.replace(walked, cycle=(wind(2, declared_genus=0),))
+    assert not validate_tower(bad).ok
+    assert validate_tower(walked).ok
 
 
 def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
