@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .laurent import ONE, LaurentPoly, parse_poly
+from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly
 
 __all__ = [
     "KnotExpr",
@@ -215,7 +215,7 @@ def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
     Multiplicative over connected sums (the satellite formula with winding
     one).  Raises :class:`InvariantUnavailable` for a table knot without a
     declared polynomial, and ``ValueError`` for a knot whose genus exceeds
-    10^5.
+    10^5 or a sum whose products together pass 10^7 term pairs.
     """
     k = normalize(k)
     genus = genus_of_knot(k).lower
@@ -231,9 +231,11 @@ def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
                 f"table knot {k.name!r} has no declared Alexander polynomial"
             )
         return k.delta.canonical()
-    delta = ONE
+    delta, pairs = ONE, 0
     for part in k.parts:
-        delta = delta * alexander_of_knot(part)
+        factor = alexander_of_knot(part)
+        pairs = _term_pairs(pairs, delta, factor)
+        delta = delta * factor
     return delta.canonical()
 
 

@@ -29,9 +29,22 @@ from dataclasses import dataclass
 __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly"]
 
 
-# Most pairs of terms a product multiplies.  Products are term by term, at
-# about 0.19 us per pair (Xeon, Python 3.11), so the limit is about 2 s.
+# Most pairs of terms one computation multiplies: one product, or all the
+# products of a fold (a sum's summands, a tower's prefix) together.  Products
+# are term by term, at about 0.19 us per pair (Xeon, Python 3.11), so the
+# limit is about 2 s.
 _MAX_TERM_PAIRS = 10**7
+
+
+def _term_pairs(spent: int, a: LaurentPoly, b: LaurentPoly) -> int:
+    """``spent`` plus the term pairs of ``a * b``; ``ValueError`` past the limit."""
+    total = spent + len(a.terms) * len(b.terms)
+    if total > _MAX_TERM_PAIRS:
+        raise ValueError(
+            f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the limit of "
+            f"{_MAX_TERM_PAIRS} term pairs per computation ({total} in all)"
+        )
+    return total
 
 
 @dataclass(frozen=True, init=False)
@@ -93,11 +106,7 @@ class LaurentPoly:
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         """Term-by-term product; ``ValueError`` past 10^7 pairs of terms."""
-        if len(self.terms) * len(other.terms) > _MAX_TERM_PAIRS:
-            raise ValueError(
-                f"a product of {len(self.terms)} by {len(other.terms)} terms "
-                f"exceeds the limit of {_MAX_TERM_PAIRS} term pairs"
-            )
+        _term_pairs(0, self, other)
         acc: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

@@ -11,13 +11,15 @@ import json
 from . import __version__
 from .knots import InvariantUnavailable
 from .towers import (
-    _R_TOROIDAL,
     PreconditionError,
     Tower,
-    _alexander,
-    _analyze,
-    _flow_verdict,
-    _homeo_verdict,
+    cech_h1,
+    flow_attractor_verdict,
+    genus_of_tower,
+    homeo_attractor_verdict,
+    is_unknotted_tower,
+    r_of_toroidal,
+    tower_alexander,
 )
 
 __all__ = ["build_report", "render_json", "render_text"]
@@ -26,14 +28,14 @@ SCHEMA_VERSION = 1
 
 
 def build_report(tower: Tower) -> dict:
-    """Validate the tower once and read every classifier off that analysis."""
-    a = _analyze(tower)
-    coh, genus = a.coh, a.genus
-    homeo = _homeo_verdict(a)
-    flow = _flow_verdict(a)
+    """Run every public classifier; each reads the facts the tower keeps."""
+    coh, genus = cech_h1(tower), genus_of_tower(tower)
+    homeo = homeo_attractor_verdict(tower)
+    flow = flow_attractor_verdict(tower)
+    r = r_of_toroidal(tower)
 
     try:
-        alexander: str | None = str(_alexander(a))
+        alexander: str | None = str(tower_alexander(tower))
         alexander_status = "ok"
     except PreconditionError as exc:
         alexander = None
@@ -57,7 +59,7 @@ def build_report(tower: Tower) -> dict:
         "genus": str(genus),
         "genus_rule": genus.rule.value,
         "genus_justification": genus.justification,
-        "unknotted": genus.is_exact and genus.value == 0,
+        "unknotted": is_unknotted_tower(tower),
         "alexander": alexander,
         "alexander_status": alexander_status,
         "homeo_verdict": homeo.tag,
@@ -66,8 +68,8 @@ def build_report(tower: Tower) -> dict:
         "flow_verdict": flow.tag,
         "flow_justification": flow.justification,
         "flow_note": flow.note,
-        "r": _R_TOROIDAL.value,
-        "r_justification": _R_TOROIDAL.justification,
+        "r": r.value,
+        "r_justification": r.justification,
     }
     return report
 

@@ -37,16 +37,18 @@ only yields the inequality above.
 Each fact is computed once, when first read, and kept on the frozen value
 it derives from: a :class:`Stage` keeps its pattern bound and its contract
 faults, and a :class:`Tower` keeps its one walk of the unrolled tower (the
-validation report and the chain states).  The classifiers read one private
-analysis record: ``_analyze`` takes that walk, raises
-:class:`InvalidTowerError` on an invalid tower, and keeps the states with
-the cohomology profile and genus read off them.  A report builds one record.
+validation report and the chain states), its cohomology profile and its
+genus.  Reading the states of an invalid tower raises
+:class:`InvalidTowerError`.  The public classifiers are the only readers of
+these facts, and a report calls them, so each fact is derived once per
+tower value.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,7 +67,7 @@ from .knots import (
     parse_knot,
     prime_summands,
 )
-from .laurent import ONE, LaurentPoly, parse_poly
+from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly
 
 __all__ = [
     "StageKind",
@@ -272,8 +274,8 @@ def generic(
 
 @dataclass(frozen=True)
 class Tower:
-    """Eventually periodic defining sequence of a toroidal set.  Its one walk,
-    the validation report and the genus chain, is kept on it when first read."""
+    """Eventually periodic defining sequence of a toroidal set.  Its walk,
+    cohomology profile and genus are kept on it when first read."""
 
     name: str
     initial: KnotExpr
@@ -284,6 +286,23 @@ class Tower:
     @cached_property
     def _walked(self) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
         return _walk(self)
+
+    @cached_property
+    def _states(self) -> tuple[_ChainState, ...]:
+        """The chain states of a valid tower; ``InvalidTowerError`` otherwise."""
+        report, states = self._walked
+        if not report.ok:
+            raise InvalidTowerError(report)
+        return states
+
+    @cached_property
+    def _coh(self) -> CohProfile:
+        self._states  # refuse an invalid tower
+        return _cohomology(self)
+
+    @cached_property
+    def _genus_result(self) -> GenusResult:
+        return _genus(self, self._states)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +424,10 @@ def _initial_state(tower: Tower) -> tuple[_ChainState, list[Violation]]:
     return state, violations
 
 
-def _unrolled(tower: Tower, passes: int = 2) -> Iterable[tuple[Stage, str]]:
+def _unrolled(tower: Tower) -> Iterable[tuple[Stage, str]]:
     for i, s in enumerate(tower.prefix):
         yield s, f"prefix[{i}]"
-    for _ in range(passes):
+    for _ in range(2):
         for j, s in enumerate(tower.cycle):
             yield s, f"cycle[{j}] (periodic)"
 
@@ -427,7 +446,7 @@ def _walk(tower: Tower) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
     states = [state]
     first_pass_end = len(tower.prefix) + len(tower.cycle)  # later stages repeat checked ones
     seen_chain: set[str] = set()
-    for i, (stage, where) in enumerate(_unrolled(tower, passes=2)):
+    for i, (stage, where) in enumerate(_unrolled(tower)):
         if i < first_pass_end:
             violations.extend(_stage_contract_violations(stage, where))
         state, message = _stage_transfer(state, stage)
@@ -511,7 +530,7 @@ def cech_h1(tower: Tower) -> CohProfile:
     limit's type: cycle windings contribute their primes at infinity, the
     prefix windings past the last zero contribute finitely.
     """
-    return _analyze(tower).coh
+    return tower._coh
 
 
 def _cohomology(tower: Tower) -> CohProfile:
@@ -521,14 +540,13 @@ def _cohomology(tower: Tower) -> CohProfile:
     prefix_ws = [s.winding for s in tower.prefix]
     if 0 in prefix_ws:
         prefix_ws = prefix_ws[len(prefix_ws) - prefix_ws[::-1].index(0):]
-    infinite: set[int] = set()
-    for w in cycle_ws:
-        infinite.update(_prime_factors(w))
+    factors = {w: _prime_factors(w) for w in {*cycle_ws, *prefix_ws}}
+    infinite = {p for w in cycle_ws for p in factors[w]}
     finite: dict[int, int] = {}
-    for w in prefix_ws:
-        for p, e in _prime_factors(w).items():
+    for w, count in Counter(prefix_ws).items():
+        for p, e in factors[w].items():
             if p not in infinite:
-                finite[p] = finite.get(p, 0) + e
+                finite[p] = finite.get(p, 0) + e * count
     steinitz = SteinitzNumber(tuple(sorted(finite.items())), tuple(sorted(infinite)))
     cls = H1Class.Z if all(w == 1 for w in cycle_ws) else H1Class.NOT_FINITELY_GENERATED
     return CohProfile(cls, steinitz)
@@ -612,12 +630,6 @@ class GenusResult:
         return f"lower_bound:{self.value}"
 
 
-def _cycle_pass(state: _ChainState, tower: Tower) -> _ChainState:
-    for stage in tower.cycle:
-        state, _ = _stage_transfer(state, stage)
-    return state
-
-
 def genus_of_tower(tower: Tower) -> GenusResult:
     """Genus decision procedure over the cycle.
 
@@ -629,7 +641,7 @@ def genus_of_tower(tower: Tower) -> GenusResult:
     basis-independence of the genus limit needs a nontrivial set).
     Otherwise the best chained lower bound.
     """
-    return _analyze(tower).genus
+    return tower._genus_result
 
 
 def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
@@ -641,18 +653,19 @@ def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
 
     # The chain entering the cycle, then after each cycle pass of the walk.
     n, c = len(tower.prefix), len(tower.cycle)
-    passes = [states[n], states[n + c], states[n + 2 * c]]
+    entering, first, last = states[n], states[n + c], states[n + 2 * c]
 
     if all_ge1 and any(w >= 2 for w in cycle_ws):
-        if passes[0].bound > 0 or passes[1].bound > 0:
+        if entering.bound > 0 or first.bound > 0:
             return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
 
-    # Iterate cycle passes to a fixed point.  Most chains settle within the
-    # two passes of the walk, but not all; the cap of eight is paranoia.
-    while len(passes) < 9 and passes[-1] != passes[-2]:
-        passes.append(_cycle_pass(passes[-1], tower))
-    last = passes[-1]
-    if last == passes[-2] and last.exact:
+    # ``last`` is the fixed point: a second cycle pass ends where the first
+    # did.  A winding-0 stage, or a declared genus (all hold on a valid
+    # tower), sets the chain to a value independent of what enters it.  Past
+    # the returns above, every cycle pattern bound is zero and every winding
+    # is one or the bound stays zero, so each other stage keeps the bound and
+    # at most clears exactness: on the settled states, identity or constant.
+    if last.exact:
         if any(w == 0 for w in cycle_ws) and last.bound > 0:
             # The defining tori all have this genus, but for a homologically
             # trivial set the limit is only an upper bound for the genus.
@@ -666,24 +679,6 @@ def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
     if any(w == 0 for w in cycle_ws):
         return GenusResult.lower_bound(0)
     return GenusResult.lower_bound(last.bound)
-
-
-@dataclass(frozen=True)
-class _Analysis:
-    """What the classifiers read off one validated tower and its walk."""
-
-    tower: Tower
-    states: tuple[_ChainState, ...]
-    coh: CohProfile
-    genus: GenusResult
-
-
-def _analyze(tower: Tower) -> _Analysis:
-    """Validate ``tower`` and analyze it from the same walk of its chain."""
-    report, states = tower._walked
-    if not report.ok:
-        raise InvalidTowerError(report)
-    return _Analysis(tower, states, _cohomology(tower), _genus(tower, states))
 
 
 def is_unknotted_tower(tower: Tower) -> bool:
@@ -713,28 +708,26 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
     winding one and trivial patterns, so the polynomial of the defining
     tori stabilizes after the prefix and the fold
     ``D'(t) = D_pattern(t) * D_core(t^w)`` along the prefix computes it.
-    Raises ``ValueError`` when the genus exceeds 10^5, or when a step of
-    the fold would reach a breadth above 2 * 10^5.
+    Raises ``ValueError`` when the genus exceeds 10^5, when a step of the
+    fold would reach a breadth above 2 * 10^5, or when the fold's products
+    together pass 10^7 term pairs.
     """
-    return _alexander(_analyze(tower))
-
-
-def _alexander(a: _Analysis) -> LaurentPoly:
-    if a.coh.h1 is not H1Class.Z:
+    if tower._coh.h1 is not H1Class.Z:
         raise PreconditionError("H1NotZ", "the stabilized polynomial needs first cohomology Z")
-    if a.genus.is_infinite:
+    genus = tower._genus_result
+    if genus.is_infinite:
         raise PreconditionError("InfiniteGenus", "the stabilized polynomial needs finite genus")
-    if not a.genus.is_exact:
+    if not genus.is_exact:
         raise PreconditionError(
             "GenusNotExact", "the genus could not be pinned to an exact value"
         )
-    if a.genus.value > _MAX_GENUS:
+    if genus.value > _MAX_GENUS:
         raise ValueError(
-            f"the stabilized polynomial has genus {a.genus.value}, "
+            f"the stabilized polynomial has genus {genus.value}, "
             f"which exceeds the limit {_MAX_GENUS}"
         )
-    delta = alexander_of_knot(a.tower.initial)
-    for stage in a.tower.prefix:
+    delta, pairs = alexander_of_knot(tower.initial), 0
+    for stage in tower.prefix:
         pat = _stage_delta(stage)
         # Breadth adds under products and scales under t -> t^w.  Polynomials
         # of genus within the limit stay within twice it; a tower whose
@@ -748,7 +741,9 @@ def _alexander(a: _Analysis) -> LaurentPoly:
         if stage.winding == 0:
             delta = pat  # the inner torus sits in a ball: its type is the pattern's
         else:
-            delta = pat * delta.subst_power(stage.winding)
+            core = delta.subst_power(stage.winding)
+            pairs = _term_pairs(pairs, pat, core)
+            delta = pat * core
     return delta.canonical()
 
 
@@ -760,8 +755,7 @@ def reembed_unknotted(tower: Tower) -> Tower:
     framing that unknots the stabilized torus yields an unknotted tower:
     initial core the unknot, later stages kept with trivial patterns.
     """
-    a = _analyze(tower)
-    g = a.genus
+    g = tower._genus_result
     if g.is_infinite:
         raise PreconditionError("InfiniteGenus", "an infinite-genus tower never stabilizes")
     if not g.is_exact:
@@ -770,9 +764,9 @@ def reembed_unknotted(tower: Tower) -> Tower:
         return tower
 
     target = _ChainState(g.value, True)
-    if target not in a.states:
+    if target not in tower._states:
         raise PreconditionError("GenusNotExact", "no stabilization index found")
-    split = a.states.index(target)
+    split = tower._states.index(target)
 
     def forced(stage: Stage) -> Stage:
         if stage.kind is StageKind.CORE_PARALLEL:
@@ -840,24 +834,21 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
     windings nonzero) also obstructs.  ``no_obstruction_found`` is not a
     realizability guarantee.
     """
-    return _homeo_verdict(_analyze(tower))
-
-
-def _homeo_verdict(a: _Analysis) -> HomeoVerdict:
-    if a.genus.is_infinite:
+    genus = tower._genus_result
+    if genus.is_infinite:
         return HomeoVerdict(
             True,
             "infinite_genus",
             "a toroidal attractor of a homeomorphism must have finite genus; "
-            + a.genus.justification,
+            + genus.justification,
         )
-    if a.coh.h1 is H1Class.NOT_FINITELY_GENERATED:
-        stages = a.tower.prefix + a.tower.cycle
+    if tower._coh.h1 is H1Class.NOT_FINITELY_GENERATED:
+        stages = tower.prefix + tower.cycle
         all_windings_ge1 = all(s.winding >= 1 for s in stages)
         # Knotted only where proved: a positive genus bound, or a prime summand.
-        initial = normalize(a.tower.initial)
+        initial = normalize(tower.initial)
         summands = initial.parts if isinstance(initial, Sum) else (initial,)
-        knotted = any(st.bound > 0 for st in a.states) or any(
+        knotted = any(st.bound > 0 for st in tower._states) or any(
             isinstance(k, Table) and k.prime for k in summands
         )
         if all_windings_ge1 and knotted:
@@ -877,17 +868,13 @@ def _homeo_verdict(a: _Analysis) -> HomeoVerdict:
 
 def flow_attractor_verdict(tower: Tower) -> FlowVerdict:
     """Flow-attractor test: cohomology Z plus eventual concentricity."""
-    return _flow_verdict(_analyze(tower))
-
-
-def _flow_verdict(a: _Analysis) -> FlowVerdict:
-    if a.coh.h1 is not H1Class.Z:
+    if tower._coh.h1 is not H1Class.Z:
         return FlowVerdict(
             False,
             "h1_not_z",
             "a toroidal attractor of a flow must have first Cech cohomology Z",
         )
-    cycle = a.tower.cycle
+    cycle = tower.cycle
     if all(s.concentric for s in cycle):
         return FlowVerdict(
             True,
@@ -958,8 +945,7 @@ def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
     multiplicities (cycle summands recur infinitely often).  A differing
     multiset certifies inequivalence; agreement is inconclusive.
     """
-    _analyze(a)
-    _analyze(b)
+    a._states, b._states  # refuse invalid towers
     ma = _summand_multiset(a)
     mb = _summand_multiset(b)
     if ma == mb:
@@ -992,21 +978,18 @@ class RInvariant:
         return self.value
 
 
-_R_TOROIDAL = RInvariant(
-    1,
-    "a toroidal set has a neighbourhood basis of solid tori and is not "
-    "cellular, so its stable first Betti number is exactly one",
-)
-
-
 def r_of_toroidal(tower: Tower) -> RInvariant:
     """The stable mod-2 first Betti number of neighbourhood bases: always 1.
 
     A toroidal set has a basis of solid tori (so the invariant is at most
     one) and is not cellular (so it cannot be zero).
     """
-    _analyze(tower)
-    return _R_TOROIDAL
+    tower._states  # refuse an invalid tower
+    return RInvariant(
+        1,
+        "a toroidal set has a neighbourhood basis of solid tori and is not "
+        "cellular, so its stable first Betti number is exactly one",
+    )
 
 
 class H1Input(str, enum.Enum):

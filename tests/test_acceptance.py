@@ -45,7 +45,6 @@ from toroidal.towers import (
     tower_alexander,
     validate_tower,
     wind,
-    _analyze,
     _unrolled,
 )
 
@@ -171,8 +170,8 @@ def test_criterion_8_consistency_property_suite():
     with budget(8, 30.0, "1000 random validated towers satisfy the classifier consistency laws"):
         towers = random_valid_towers(seed=20260809, count=1000)
         for t in towers:
-            states = _analyze(t).states
-            stages = list(_unrolled(t, passes=2))
+            states = t._states
+            stages = list(_unrolled(t))
             for (stage, _w), before, after in zip(stages, states, states[1:]):
                 if stage.winding >= 1:
                     assert after.bound >= before.bound, t

@@ -184,6 +184,29 @@ def test_product_limit_exit_2():
     assert code == 0 and out == f"{square}\n"
 
 
+def test_product_limit_is_per_computation(tmp_path):
+    # Each product of a long sum stays under the limit; together they pass it.
+    start = time.perf_counter()
+    code, out, err = run(["knot", "alexander", "sum(" + "; ".join(["torus(2,51)"] * 150) + ")"])
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 10000000 term pairs per computation" in err
+    assert time.perf_counter() - start < 5
+
+    # The same for the products of a report's fold along the prefix.
+    doc = {
+        "initial": "unknot",
+        "prefix": [{"kind": "swallow", "knot": "torus(2,51)"}] * 200,
+        "cycle": [{"kind": "core_parallel"}],
+    }
+    path = tmp_path / "swallows.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["tower", "report", str(path)])
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 10000000 term pairs per computation" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_tower_report_reads_files(tmp_path):
     doc = {
         "name": "knotted_dyadic",

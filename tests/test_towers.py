@@ -34,7 +34,6 @@ from toroidal.towers import (
     tower_to_dict,
     validate_tower,
     wind,
-    _analyze,
     _unrolled,
 )
 
@@ -90,9 +89,28 @@ def test_declared_contradicting_exact_value():
 
 
 def test_classifiers_refuse_invalid_towers():
+    from toroidal.reports import build_report
+
     t = tower(TREFOIL, cycle=[wind(2, declared_genus=0)])
-    with pytest.raises(InvalidTowerError):
-        genus_of_tower(t)
+    ok = tower(UNKNOT)
+    readers = [
+        cech_h1,
+        genus_of_tower,
+        is_unknotted_tower,
+        tower_alexander,
+        reembed_unknotted,
+        homeo_attractor_verdict,
+        flow_attractor_verdict,
+        r_of_toroidal,
+        lambda x: distinguish_connected_sums(x, ok),
+        lambda x: distinguish_connected_sums(ok, x),
+        build_report,
+    ]
+    # The refusal is not kept as a fact: a second call refuses again.
+    for _ in range(2):
+        for read in readers:
+            with pytest.raises(InvalidTowerError, match="SchubertViolation"):
+                read(t)
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -113,6 +131,18 @@ def test_cech_dyadic_solenoid():
     assert profile.h1 is H1Class.NOT_FINITELY_GENERATED
     assert str(profile.steinitz) == "2^inf"
     assert profile.steinitz.infinite == (2,)
+
+
+def test_each_distinct_winding_is_factored_once(monkeypatch):
+    import toroidal.towers as towers
+
+    calls = {"_prime_factors": 0}
+    _count_calls(monkeypatch, towers, calls)
+    assert str(cech_h1(tower(UNKNOT, prefix=[wind(6)] * 10, cycle=[wind(6)])).steinitz) == "2^inf * 3^inf"
+    assert calls["_prime_factors"] == 1
+    # Prefix exponents count each stage.
+    assert str(cech_h1(tower(UNKNOT, prefix=[wind(6)] * 10, cycle=[wind(5)])).steinitz) == "2^10 * 3^10 * 5^inf"
+    assert calls["_prime_factors"] == 3
 
 
 def test_cech_prefix_contributes_finitely():
@@ -521,13 +551,29 @@ def test_walk_is_kept_per_value(monkeypatch):
     assert tower_to_dict(walked) == tower_to_dict(fresh)
     assert repr(walked) == repr(fresh)
 
-    calls = {"_walk": 0}
+    calls = {"_walk": 0, "_cohomology": 0, "_genus": 0}
     _count_calls(monkeypatch, towers, calls)
     # A replaced tower is a new value with a walk of its own.
     tame = dataclasses.replace(walked, cycle=(core_parallel(),))
     report = build_report(tame)
-    assert calls["_walk"] == 1
+    assert calls == {"_walk": 1, "_cohomology": 1, "_genus": 1}
     assert report["genus"] == "exact:120" and report["h1"] == "z"
+    # Every classifier reads the facts the tower keeps.
+    assert cech_h1(tame).h1 is H1Class.Z and str(genus_of_tower(tame)) == "exact:120"
+    assert not is_unknotted_tower(tame)
+    reembedded = reembed_unknotted(tame)
+    assert str(tower_alexander(tame)) == report["alexander"]
+    assert homeo_attractor_verdict(tame).tag == report["homeo_verdict"]
+    assert flow_attractor_verdict(tame).tag == report["flow_verdict"]
+    assert r_of_toroidal(tame).value == 1 and validate_tower(tame).ok
+    with pytest.raises(PreconditionError, match="NotConnectedSumShape"):
+        distinguish_connected_sums(tame, tame)
+    assert build_report(tame) == report
+    assert calls == {"_walk": 1, "_cohomology": 1, "_genus": 1}
+    # A copy is a new value: it derives each fact once more.
+    assert build_report(dataclasses.replace(tame)) == report
+    assert calls == {"_walk": 2, "_cohomology": 2, "_genus": 2}
+    assert is_unknotted_tower(reembedded)
     assert report == build_report(Tower(walked.name, UNKNOT, walked.prefix, (core_parallel(),)))
     bad = dataclasses.replace(walked, cycle=(wind(2, declared_genus=0),))
     assert not validate_tower(bad).ok
@@ -561,9 +607,22 @@ def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
 # -- randomized consistency suite ----------------------------------------
 
 
+def test_second_cycle_pass_ends_where_the_first_did():
+    # The genus reads the chain after the walk's second cycle pass as its
+    # fixed point; past the infinite-genus rules, a third pass would add nothing.
+    checked = 0
+    for t in random_valid_towers(seed=9, count=2000):
+        if genus_of_tower(t).is_infinite:
+            continue
+        n, c = len(t.prefix), len(t.cycle)
+        assert t._states[n + c] == t._states[n + 2 * c], t
+        checked += 1
+    assert checked > 900
+
+
 def _assert_classifiers_consistent(t: Tower) -> None:
-    states = _analyze(t).states
-    stages = list(_unrolled(t, passes=2))
+    states = t._states
+    stages = list(_unrolled(t))
     for (stage, _w), before, after in zip(stages, states, states[1:]):
         if stage.winding >= 1:
             assert after.bound >= before.bound, (t, stage)
