@@ -11,6 +11,9 @@ Subcommands::
 ``--json`` switches any subcommand to JSON output.  Exit status: 0 on
 success, 1 on usage errors, 2 on validation errors (malformed expressions,
 PD codes or tower files, and towers rejected by the validator).
+
+Each subcommand imports only the modules it runs, so a process that asks
+for a knot's genus never loads the tower or diagram engines.
 """
 
 from __future__ import annotations
@@ -18,12 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .catalog import catalog, resolve
-from .diagrams import alexander_from_diagram, genus_bounds, parse_pd
-from .knots import alexander_of_knot, genus_of_knot, parse_knot
-from .reports import build_report, render_json, render_text
-from .towers import InvalidTowerError, load_tower
 
 __all__ = ["main"]
 
@@ -89,6 +86,8 @@ def _emit(payload: dict, text: str, as_json: bool, out) -> None:
 
 
 def _run_knot(args, out) -> int:
+    from .knots import alexander_of_knot, genus_of_knot, parse_knot
+
     expr = parse_knot(args.expr)
     if args.invariant == "genus":
         g = genus_of_knot(expr)
@@ -101,6 +100,8 @@ def _run_knot(args, out) -> int:
 
 
 def _run_diagram(args, out) -> int:
+    from .diagrams import alexander_from_diagram, genus_bounds, parse_pd
+
     with open(args.file, "r", encoding="utf-8") as fh:
         d = parse_pd(fh.read())
     if args.invariant == "alexander":
@@ -113,9 +114,31 @@ def _run_diagram(args, out) -> int:
     return 0
 
 
-def _run_tower_report(tower, as_json: bool, out) -> int:
-    doc = build_report(tower)
-    out.write(render_json(doc) if as_json else render_text(doc))
+def _run_towers(args, out, err) -> int:
+    """``tower report`` and ``catalog``, the subcommands that load towers."""
+    from .towers import InvalidTowerError, load_tower
+
+    try:
+        if args.command == "tower":
+            tower = load_tower(args.file)
+        else:
+            from .catalog import catalog, resolve
+
+            if args.action == "list":
+                names = sorted(catalog())
+                if args.json:
+                    _emit({"towers": names, "mask_family": "mask:<bits>"}, "", True, out)
+                else:
+                    out.write("\n".join(names) + "\n" + "mask:<bits>  (generated family)\n")
+                return 0
+            tower = resolve(args.name)
+        from .reports import build_report, render_json, render_text
+
+        doc = build_report(tower)
+    except InvalidTowerError as exc:
+        err.write(f"invalid tower:\n{exc}\n")
+        return 2
+    out.write(render_json(doc) if args.json else render_text(doc))
     return 0
 
 
@@ -134,23 +157,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             return _run_knot(args, out)
         if args.command == "diagram":
             return _run_diagram(args, out)
-        if args.command == "tower":
-            return _run_tower_report(load_tower(args.file), args.json, out)
-        if args.command == "catalog":
-            if args.action == "list":
-                names = sorted(catalog())
-                if args.json:
-                    _emit({"towers": names, "mask_family": "mask:<bits>"}, "", True, out)
-                else:
-                    out.write("\n".join(names) + "\n" + "mask:<bits>  (generated family)\n")
-                return 0
-            return _run_tower_report(resolve(args.name), args.json, out)
-        raise AssertionError("unreachable")
+        return _run_towers(args, out, err)
     except FileNotFoundError as exc:
         err.write(f"error: {exc}\n")
-        return 2
-    except InvalidTowerError as exc:
-        err.write(f"invalid tower:\n{exc}\n")
         return 2
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)

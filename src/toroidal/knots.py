@@ -217,26 +217,32 @@ def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
     declared polynomial, and ``ValueError`` for a knot whose genus exceeds
     10^5 or a sum whose products together pass 10^7 term pairs.
     """
+    return _alexander_spending(k, 0)[0]
+
+
+def _alexander_spending(k: KnotExpr, pairs: int) -> tuple[LaurentPoly, int]:
+    """:func:`alexander_of_knot`, for a computation that has already spent
+    ``pairs`` term pairs; also returns the pairs spent, its own included."""
     k = normalize(k)
     genus = genus_of_knot(k).lower
     if genus > _MAX_GENUS:
         raise ValueError(f"knot genus {genus} exceeds the limit {_MAX_GENUS}")
     if isinstance(k, Unknot):
-        return ONE
+        return ONE, pairs
     if isinstance(k, Torus):
-        return _torus_alexander(k.p, k.q)
+        return _torus_alexander(k.p, k.q), pairs
     if isinstance(k, Table):
         if k.delta is None:
             raise InvariantUnavailable(
                 f"table knot {k.name!r} has no declared Alexander polynomial"
             )
-        return k.delta.canonical()
-    delta, pairs = ONE, 0
+        return k.delta.canonical(), pairs
+    delta = ONE
     for part in k.parts:
-        factor = alexander_of_knot(part)
+        factor, pairs = _alexander_spending(part, pairs)
         pairs = _term_pairs(pairs, delta, factor)
         delta = delta * factor
-    return delta.canonical()
+    return delta.canonical(), pairs
 
 
 def prime_summands(k: KnotExpr) -> Counter[KnotExpr]:

@@ -30,9 +30,9 @@ __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly"]
 
 
 # Most pairs of terms one computation multiplies: one product, or all the
-# products of a fold (a sum's summands, a tower's prefix) together.  Products
-# are term by term, at about 0.19 us per pair (Xeon, Python 3.11), so the
-# limit is about 2 s.
+# products of a fold (a sum's summands; a tower's prefix and the sums its
+# stages swallow) together.  Products are term by term, at about 0.19 us per
+# pair (Xeon, Python 3.11), so the limit is about 2 s.
 _MAX_TERM_PAIRS = 10**7
 
 

@@ -49,10 +49,10 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 from .knots import (
     _MAX_GENUS,
@@ -61,7 +61,7 @@ from .knots import (
     KnotExpr,
     Sum,
     Table,
-    alexander_of_knot,
+    _alexander_spending,
     genus_of_knot,
     normalize,
     parse_knot,
@@ -691,13 +691,15 @@ def is_unknotted_tower(tower: Tower) -> bool:
 # stabilized Alexander polynomial
 
 
-def _stage_delta(stage: Stage) -> LaurentPoly:
+def _stage_delta(stage: Stage, pairs: int) -> tuple[LaurentPoly, int]:
+    """The stage's pattern polynomial, and ``pairs`` plus the term pairs a
+    swallowed sum spends on it."""
     if stage.kind is StageKind.SWALLOW and stage.knot is not None:
-        return alexander_of_knot(stage.knot)
+        return _alexander_spending(stage.knot, pairs)
     if stage.pattern_delta is not None:
-        return stage.pattern_delta
+        return stage.pattern_delta, pairs
     if stage.pattern_genus == 0:
-        return ONE  # a genus-zero pattern is unknotted
+        return ONE, pairs  # a genus-zero pattern is unknotted
     raise InvariantUnavailable("stage pattern polynomial is not declared")
 
 
@@ -710,7 +712,8 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
     ``D'(t) = D_pattern(t) * D_core(t^w)`` along the prefix computes it.
     Raises ``ValueError`` when the genus exceeds 10^5, when a step of the
     fold would reach a breadth above 2 * 10^5, or when the fold's products
-    together pass 10^7 term pairs.
+    and those of the connected sums its stages swallow together pass 10^7
+    term pairs.
     """
     if tower._coh.h1 is not H1Class.Z:
         raise PreconditionError("H1NotZ", "the stabilized polynomial needs first cohomology Z")
@@ -726,9 +729,9 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
             f"the stabilized polynomial has genus {genus.value}, "
             f"which exceeds the limit {_MAX_GENUS}"
         )
-    delta, pairs = alexander_of_knot(tower.initial), 0
+    delta, pairs = _alexander_spending(tower.initial, 0)
     for stage in tower.prefix:
-        pat = _stage_delta(stage)
+        pat, pairs = _stage_delta(stage, pairs)
         # Breadth adds under products and scales under t -> t^w.  Polynomials
         # of genus within the limit stay within twice it; a tower whose
         # pattern genus is left out need not, so each step is checked.

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -206,6 +208,25 @@ def test_product_limit_is_per_computation(tmp_path):
     assert "exceeds the limit of 10000000 term pairs per computation" in err
     assert time.perf_counter() - start < 5
 
+    # Each swallowed sum stays under the limit (85 x T(2,51) takes about
+    # 9.1 * 10^6 pairs), and a winding-0 stage resets the fold without a
+    # product; the sums and the fold still share the one budget.
+    long_sum = "sum(" + "; ".join(["torus(2,51)"] * 85) + ")"
+    doc = {
+        "initial": "unknot",
+        "prefix": [
+            {"kind": "swallow", "knot": long_sum},
+            {"kind": "generic", "w": 0, "pattern_genus": 0},
+        ] * 3,
+        "cycle": [{"kind": "core_parallel"}],
+    }
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["tower", "report", str(path)])
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 10000000 term pairs per computation" in err
+    assert time.perf_counter() - start < 5
+
 
 def test_tower_report_reads_files(tmp_path):
     doc = {
@@ -280,6 +301,56 @@ def test_catalog_dir_override(tmp_path, monkeypatch):
     assert code == 0 and "custom" in out
     code, out, _ = run(["--json", "catalog", "report", "custom"])
     assert code == 0 and json.loads(out)["genus"] == "exact:0"
+
+
+def test_invalid_catalog_file_is_an_invalid_tower(tmp_path, monkeypatch):
+    doc = {"initial": "unknot", "cycle": [{"kind": "wind", "w": -3}]}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("TOROIDAL_CATALOG_DIR", str(tmp_path))
+    for argv in (["catalog", "list"], ["catalog", "report", "whitehead"]):
+        assert run(argv) == (2, "", "invalid tower:\ncycle[0]: MalformedStage: negative winding -3\n")
+
+
+# -- modules each subcommand loads ---------------------------------------------
+
+_LOADED_MODULES = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from toroidal.cli import main
+code = main(sys.argv[2:], io.StringIO(), io.StringIO())
+print(code, *sorted(m for m in sys.modules if m == "toroidal" or m.startswith("toroidal.")))
+print("typing" in sys.modules)
+"""
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    pd_file = tmp_path / "trefoil.pd"
+    pd_file.write_text(torus_2_pd(3))
+    tower_file = tmp_path / "tower.json"
+    tower_file.write_text(json.dumps({"initial": "torus(2,3)", "cycle": [{"kind": "core_parallel"}]}))
+    towers = {"laurent", "knots", "towers", "reports"}
+    cases = [
+        (["knot", "genus", "torus(2,3)"], 0, {"knots", "laurent"}),
+        (["knot", "alexander", "torus(2,3)"], 0, {"knots", "laurent"}),
+        (["diagram", "alexander", str(pd_file)], 0, {"diagrams", "laurent"}),
+        (["diagram", "genus", str(pd_file)], 0, {"diagrams", "laurent"}),
+        (["tower", "report", str(tower_file)], 0, towers),
+        (["catalog", "report", "whitehead"], 0, towers | {"catalog"}),
+        (["catalog", "list"], 0, {"laurent", "knots", "towers", "catalog"}),
+        (["frobnicate"], 1, set()),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv, code, modules in cases:
+        # -S keeps site hooks, which may preload modules, out of the count.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _LOADED_MODULES, src, *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stderr == ""
+        loaded, typing_loaded = proc.stdout.splitlines()
+        expected = {"toroidal", "toroidal.cli"} | {f"toroidal.{m}" for m in modules}
+        assert loaded.split() == [str(code), *sorted(expected)], argv
+        assert typing_loaded == "False", argv
 
 
 # -- hostile input ------------------------------------------------------------

@@ -585,12 +585,13 @@ def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
     from toroidal.reports import build_report
 
     calls = []
+    spending = towers._alexander_spending
 
-    def counted(k):
+    def counted(k, pairs):
         calls.append(k)
-        return alexander_of_knot(k)
+        return spending(k, pairs)
 
-    monkeypatch.setattr(towers, "alexander_of_knot", counted)
+    monkeypatch.setattr(towers, "_alexander_spending", counted)
     doc = {
         "initial": "unknot",
         "prefix": [{"kind": "swallow", "knot": f"torus(2,{2 * i + 3})"} for i in range(63)],
