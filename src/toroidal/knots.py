@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly
@@ -40,6 +41,8 @@ __all__ = [
     "normalize",
     "genus_of_knot",
     "alexander_of_knot",
+    "satellite_alexander",
+    "MAX_GENUS",
     "prime_summands",
     "parse_knot",
     "TABLE_KNOTS",
@@ -198,15 +201,14 @@ def genus_of_knot(k: KnotExpr) -> KnotGenus:
 # Largest genus whose polynomial alexander_of_knot builds, and largest genus
 # of a stabilized tower polynomial.  Such a polynomial has breadth at most
 # 2g, so at most 2g + 1 terms; T(2, 200001) (genus 10^5) takes about 0.13 s.
-_MAX_GENUS = 10**5
+MAX_GENUS = 10**5
 
 
 def _torus_alexander(p: int, q: int) -> LaurentPoly:
     # t^e has coefficient [e in S] - [e - 1 in S] for S = <p, q> and e <= c; b < p reaches all of S.
     c = (p - 1) * (q - 1)
-    semigroup = {s for b in range(p) for s in range(b * q, c + 1, p)}
-    edges = (e for e in range(c + 1) if (e in semigroup) != (e - 1 in semigroup))
-    return LaurentPoly({e: 1 if e in semigroup else -1 for e in edges})
+    S = {s for b in range(p) for s in range(b * q, c + 1, p)}
+    return LaurentPoly({e: 1 if e in S else -1 for e in range(c + 1) if (e in S) != (e - 1 in S)})
 
 
 def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
@@ -217,32 +219,61 @@ def alexander_of_knot(k: KnotExpr) -> LaurentPoly:
     declared polynomial, and ``ValueError`` for a knot whose genus exceeds
     10^5 or a sum whose products together pass 10^7 term pairs.
     """
-    return _alexander_spending(k, 0)[0]
+    return satellite_alexander([(k, 1)])
 
 
-def _alexander_spending(k: KnotExpr, pairs: int) -> tuple[LaurentPoly, int]:
-    """:func:`alexander_of_knot`, for a computation that has already spent
-    ``pairs`` term pairs; also returns the pairs spent, its own included."""
+def satellite_alexander(steps: Iterable[tuple[KnotExpr | LaurentPoly, int]]) -> LaurentPoly:
+    """Fold ``D'(t) = D_pattern(t) * D_core(t^w)`` from the unknot over the
+    ``(pattern, w)`` steps, in canonical form.  A pattern is a polynomial or
+    a knot, whose polynomial is its summands' product (the formula at winding
+    one).  Winding zero restarts the fold from the pattern.  Raises as
+    :func:`alexander_of_knot` does for each knot pattern, and ``ValueError``
+    for a step past breadth 2 * 10^5 or products past 10^7 term pairs in all.
+    """
+    delta, pairs = ONE, 0
+    for pattern, w in steps:
+        factor = pattern
+        if not isinstance(pattern, LaurentPoly):
+            # The summands multiply first: a winding past their breadth spreads
+            # D_core(t^w) into clusters, and each product would pay for each one.
+            factors = _knot_factors(pattern)
+            factor = factors[0]
+            for summand in factors[1:]:
+                pairs = _term_pairs(pairs, factor, summand)
+                factor = factor * summand
+        # Breadth adds under products and scales under t -> t^w.  Polynomials
+        # of genus within the limit stay within twice it; a tower whose
+        # pattern genus is left out need not, so each step is checked.
+        breadth = factor.breadth() + w * delta.breadth()
+        if breadth > 2 * MAX_GENUS:
+            raise ValueError(
+                f"the Alexander fold reaches breadth {breadth}, "
+                f"which exceeds twice the genus limit {MAX_GENUS}"
+            )
+        if w == 0 or delta is ONE:
+            delta = factor  # the inner torus sits in a ball, or the core is the unknot
+        else:
+            core = delta.subst_power(w)
+            pairs = _term_pairs(pairs, factor, core)
+            delta = factor * core
+    return delta.canonical()
+
+
+def _knot_factors(k: KnotExpr) -> list[LaurentPoly]:
+    """The polynomials of the prime summands of a knot within the genus limit."""
     k = normalize(k)
     genus = genus_of_knot(k).lower
-    if genus > _MAX_GENUS:
-        raise ValueError(f"knot genus {genus} exceeds the limit {_MAX_GENUS}")
-    if isinstance(k, Unknot):
-        return ONE, pairs
-    if isinstance(k, Torus):
-        return _torus_alexander(k.p, k.q), pairs
-    if isinstance(k, Table):
-        if k.delta is None:
-            raise InvariantUnavailable(
-                f"table knot {k.name!r} has no declared Alexander polynomial"
-            )
-        return k.delta.canonical(), pairs
-    delta = ONE
-    for part in k.parts:
-        factor, pairs = _alexander_spending(part, pairs)
-        pairs = _term_pairs(pairs, delta, factor)
-        delta = delta * factor
-    return delta.canonical(), pairs
+    if genus > MAX_GENUS:
+        raise ValueError(f"knot genus {genus} exceeds the limit {MAX_GENUS}")
+    factors = []
+    for part in k.parts if isinstance(k, Sum) else (k,):
+        if isinstance(part, Torus):
+            factors.append(_torus_alexander(part.p, part.q))
+        elif isinstance(part, Table):
+            if part.delta is None:
+                raise InvariantUnavailable(f"table knot {part.name!r} has no declared Alexander polynomial")
+            factors.append(part.delta)
+    return factors or [ONE]
 
 
 def prime_summands(k: KnotExpr) -> Counter[KnotExpr]:

@@ -3,8 +3,8 @@
 Polynomials are stored sparsely as sorted ``(exponent, coefficient)`` pairs
 with no zero coefficients; the zero polynomial has no terms.  Coefficients
 are plain Python integers, so the arithmetic is exact at any size.  Values
-are immutable and hashable, and every operation returns a fresh object, so
-they can be shared freely across threads.
+are immutable and hashable, so they can be shared freely across threads;
+``canonical()`` and ``subst_power(1)`` may return the value itself.
 
 Alexander polynomials are only defined up to multiplication by a unit
 ``±t^n``.  :meth:`LaurentPoly.canonical` fixes the representative whose
@@ -135,7 +135,7 @@ class LaurentPoly:
         >>> print(parse_poly("-t + t^2 - t^3").canonical())
         1 - t + t^2
         """
-        if not self.terms:
+        if not self.terms or (self.terms[0][0] == 0 and self.terms[0][1] > 0):
             return self
         low, lead = self.terms[0]
         sign = 1 if lead > 0 else -1

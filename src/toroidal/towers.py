@@ -52,22 +52,23 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
+from itertools import chain
+from os import PathLike
 
 from .knots import (
-    _MAX_GENUS,
+    MAX_GENUS,
     UNKNOT,
     InvariantUnavailable,
     KnotExpr,
     Sum,
     Table,
-    _alexander_spending,
     genus_of_knot,
     normalize,
     parse_knot,
     prime_summands,
+    satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly
+from .laurent import ONE, LaurentPoly, parse_poly
 
 __all__ = [
     "StageKind",
@@ -371,7 +372,7 @@ def _stage_transfer(state: _ChainState, stage: Stage) -> tuple[_ChainState, str 
         # The inner torus sits in a ball, or the outer torus is exactly
         # unknotted; either way its core has the pattern's knot type.
         out = _ChainState(plb, pexact)
-    elif stage.kind is StageKind.CORE_PARALLEL:
+    elif stage.concentric and not stage._faults:
         out = _ChainState(state.bound, state.exact)
     elif stage.kind is StageKind.SWALLOW:
         out = _ChainState(state.bound + plb, state.exact and pexact)
@@ -691,15 +692,14 @@ def is_unknotted_tower(tower: Tower) -> bool:
 # stabilized Alexander polynomial
 
 
-def _stage_delta(stage: Stage, pairs: int) -> tuple[LaurentPoly, int]:
-    """The stage's pattern polynomial, and ``pairs`` plus the term pairs a
-    swallowed sum spends on it."""
+def _stage_pattern(stage: Stage) -> KnotExpr | LaurentPoly:
+    """The stage's pattern: the swallowed knot, or the pattern polynomial."""
     if stage.kind is StageKind.SWALLOW and stage.knot is not None:
-        return _alexander_spending(stage.knot, pairs)
+        return stage.knot
     if stage.pattern_delta is not None:
-        return stage.pattern_delta, pairs
+        return stage.pattern_delta
     if stage.pattern_genus == 0:
-        return ONE, pairs  # a genus-zero pattern is unknotted
+        return ONE  # a genus-zero pattern is unknotted
     raise InvariantUnavailable("stage pattern polynomial is not declared")
 
 
@@ -710,10 +710,8 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
     winding one and trivial patterns, so the polynomial of the defining
     tori stabilizes after the prefix and the fold
     ``D'(t) = D_pattern(t) * D_core(t^w)`` along the prefix computes it.
-    Raises ``ValueError`` when the genus exceeds 10^5, when a step of the
-    fold would reach a breadth above 2 * 10^5, or when the fold's products
-    and those of the connected sums its stages swallow together pass 10^7
-    term pairs.
+    Raises ``ValueError`` when the genus exceeds 10^5, or at the limits of
+    :func:`~toroidal.knots.satellite_alexander`, which runs the fold.
     """
     if tower._coh.h1 is not H1Class.Z:
         raise PreconditionError("H1NotZ", "the stabilized polynomial needs first cohomology Z")
@@ -724,30 +722,14 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
         raise PreconditionError(
             "GenusNotExact", "the genus could not be pinned to an exact value"
         )
-    if genus.value > _MAX_GENUS:
+    if genus.value > MAX_GENUS:
         raise ValueError(
             f"the stabilized polynomial has genus {genus.value}, "
-            f"which exceeds the limit {_MAX_GENUS}"
+            f"which exceeds the limit {MAX_GENUS}"
         )
-    delta, pairs = _alexander_spending(tower.initial, 0)
-    for stage in tower.prefix:
-        pat, pairs = _stage_delta(stage, pairs)
-        # Breadth adds under products and scales under t -> t^w.  Polynomials
-        # of genus within the limit stay within twice it; a tower whose
-        # pattern genus is left out need not, so each step is checked.
-        breadth = pat.breadth() + stage.winding * delta.breadth()
-        if breadth > 2 * _MAX_GENUS:
-            raise ValueError(
-                f"the Alexander fold reaches breadth {breadth}, "
-                f"which exceeds twice the genus limit {_MAX_GENUS}"
-            )
-        if stage.winding == 0:
-            delta = pat  # the inner torus sits in a ball: its type is the pattern's
-        else:
-            core = delta.subst_power(stage.winding)
-            pairs = _term_pairs(pairs, pat, core)
-            delta = pat * core
-    return delta.canonical()
+    # Lazy, so that a stage's pattern is read only when the fold reaches it.
+    stages = ((_stage_pattern(stage), stage.winding) for stage in tower.prefix)
+    return satellite_alexander(chain([(tower.initial, 1)], stages))
 
 
 def reembed_unknotted(tower: Tower) -> Tower:
@@ -977,9 +959,6 @@ class RInvariant:
     value: int
     justification: str
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def r_of_toroidal(tower: Tower) -> RInvariant:
     """The stable mod-2 first Betti number of neighbourhood bases: always 1.
@@ -1154,7 +1133,7 @@ def tower_to_dict(tower: Tower) -> dict:
     return out
 
 
-def load_tower(path: str | Path) -> Tower:
+def load_tower(path: str | PathLike[str]) -> Tower:
     """Read a tower description file (JSON, schema version 1)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -228,6 +228,29 @@ def test_product_limit_is_per_computation(tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_swallowed_sum_after_a_winding_is_one_factor(tmp_path):
+    # After winding 1001 the core D(t^1001) has 51 terms 1001 apart, so its
+    # products keep 51 separate clusters.  The fold multiplies the 20 summands
+    # first (about 0.5 * 10^6 term pairs), then takes one product with the
+    # core; a summand at a time would pay for every cluster, about 2.5 * 10^7
+    # pairs, past the limit.
+    doc = {
+        "initial": "torus(2,51)",
+        "prefix": [
+            {"kind": "wind", "w": 1001, "declared_genus": 25025},
+            {"kind": "swallow", "knot": "sum(" + "; ".join(["torus(2,51)"] * 20) + ")"},
+        ],
+        "cycle": [{"kind": "core_parallel"}],
+    }
+    path = tmp_path / "wound.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(["--json", "tower", "report", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["genus"] == "exact:25525"
+    assert time.perf_counter() - start < 5
+
+
 def test_tower_report_reads_files(tmp_path):
     doc = {
         "name": "knotted_dyadic",
@@ -319,7 +342,7 @@ sys.path.insert(0, sys.argv[1])
 from toroidal.cli import main
 code = main(sys.argv[2:], io.StringIO(), io.StringIO())
 print(code, *sorted(m for m in sys.modules if m == "toroidal" or m.startswith("toroidal.")))
-print("typing" in sys.modules)
+print("typing" in sys.modules, "pathlib" in sys.modules)
 """
 
 
@@ -347,10 +370,13 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
             capture_output=True, text=True, timeout=60,
         )
         assert proc.stderr == ""
-        loaded, typing_loaded = proc.stdout.splitlines()
+        loaded, stdlib_loaded = proc.stdout.splitlines()
+        typing_loaded, pathlib_loaded = stdlib_loaded.split()
         expected = {"toroidal", "toroidal.cli"} | {f"toroidal.{m}" for m in modules}
         assert loaded.split() == [str(code), *sorted(expected)], argv
         assert typing_loaded == "False", argv
+        # Only the catalog, which reads a directory of tower files, loads pathlib.
+        assert pathlib_loaded == "False" or "catalog" in modules, argv
 
 
 # -- hostile input ------------------------------------------------------------

@@ -19,15 +19,20 @@ def test_every_exported_name_resolves(name):
 
 
 def test_reports_imports_only_public_tower_names():
-    import toroidal.reports
-    import toroidal.towers
-
-    tree = ast.parse(Path(toroidal.reports.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "towers"
-        for alias in node.names
-    ]
-    assert imported
-    assert [name for name in imported if name not in toroidal.towers.__all__] == []
+    # Each ``from .m import ...`` in these modules names only members of ``m.__all__``.
+    for name in ["towers", "reports", "catalog", "cli"]:
+        module = importlib.import_module(f"toroidal.{name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        ]
+        assert imported, name
+        private = [
+            (source, attr)
+            for source, attr in imported
+            if attr not in importlib.import_module(f"toroidal.{source}").__all__
+        ]
+        assert private == [], name

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import mirror
 from toroidal.knots import (
@@ -17,8 +18,9 @@ from toroidal.knots import (
     normalize,
     parse_knot,
     prime_summands,
+    satellite_alexander,
 )
-from toroidal.laurent import LaurentPoly, parse_poly
+from toroidal.laurent import ONE, LaurentPoly, parse_poly
 
 TREFOIL = Torus(2, 3)
 CINQUEFOIL = Torus(2, 5)
@@ -120,6 +122,49 @@ def test_alexander_genus_limit():
     ]:
         with pytest.raises(ValueError, match=f"knot genus {genus} exceeds the limit 100000"):
             alexander_of_knot(knot)
+
+
+_PRIMES = st.sampled_from([TREFOIL, CINQUEFOIL, Torus(3, 4), Torus(3, 5), *TABLE_KNOTS.values()])
+_PATTERNS = st.one_of(
+    st.just(UNKNOT),
+    _PRIMES,
+    st.lists(_PRIMES, min_size=2, max_size=3).map(lambda parts: Sum(tuple(parts))),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=4)
+    .map(LaurentPoly)
+    .filter(bool),
+)
+
+
+def _satellite_reference(steps):
+    # D'(t) = D_pattern(t) * D_core(t^w), one step at a time; winding zero
+    # leaves the pattern alone, and a sum's polynomial is its summands' product.
+    delta = ONE
+    for pattern, w in steps:
+        if not isinstance(pattern, LaurentPoly):
+            parts = pattern.parts if isinstance(pattern, Sum) else (pattern,)
+            pattern = ONE
+            for part in parts:
+                pattern = pattern * alexander_of_knot(part)
+        delta = pattern if w == 0 else pattern * delta.subst_power(w)
+    return delta.canonical()
+
+
+@given(st.lists(st.tuples(_PATTERNS, st.integers(0, 3)), max_size=4))
+@example([])
+@example([(TREFOIL, 1), (CINQUEFOIL, 2)])
+@example([(TREFOIL, 1), (TABLE_KNOTS["figure_eight"], 0), (parse_poly("2 - 3*t"), 3)])
+@example([(Torus(3, 4), 1), (Sum((TREFOIL, TABLE_KNOTS["5_2"])), 2)])
+def test_satellite_fold_matches_the_formula(steps):
+    assert satellite_alexander(steps) == _satellite_reference(steps)
+
+
+def test_satellite_fold_examples():
+    assert satellite_alexander([]) == ONE
+    # A trefoil pattern of winding 2 around a trefoil core.
+    assert satellite_alexander([(TREFOIL, 1), (TREFOIL, 2)]) == parse_poly(
+        "1 - t + t^3 - t^5 + t^6"
+    )
+    assert satellite_alexander([(TREFOIL, 1), (CINQUEFOIL, 0)]) == alexander_of_knot(CINQUEFOIL)
 
 
 def test_torus_alexander_times_its_denominator():

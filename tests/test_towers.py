@@ -190,6 +190,24 @@ def test_genus_generic_w1_gives_lower_bound():
     assert g.kind is GenusKind.LOWER_BOUND and g.value == 1
 
 
+def test_concentric_generic_stage_keeps_the_chain_exact():
+    # A concentric stage has winding one and a trivial pattern, so, like a
+    # core-parallel stage, it preserves the core knot type.
+    from toroidal.reports import build_report
+
+    t = tower(TREFOIL, cycle=[generic(1, 0, ONE, concentric=True)], name="tame_trefoil")
+    assert build_report(t) == build_report(CAT["tame_trefoil"])
+    # So a declaration above the core's genus contradicts it.
+    pinned = tower(TREFOIL, cycle=[generic(1, 0, ONE, declared_genus=2, concentric=True)])
+    assert [v.kind for v in validate_tower(pinned).violations] == [ViolationKind.SCHUBERT_VIOLATION]
+    # A stage that breaks the concentricity contract only bounds the genus.
+    bad = tower(TREFOIL, prefix=[generic(2, 0, ONE, concentric=True), generic(1, 0, ONE, declared_genus=1)])
+    assert [v.kind for v in validate_tower(bad).violations] == [
+        ViolationKind.CONCENTRICITY_CONTRACT,
+        ViolationKind.SCHUBERT_VIOLATION,
+    ]
+
+
 def test_genus_trivial_tower_with_knotted_tail_stays_lower_bound_zero():
     t = tower(UNKNOT, cycle=[generic(0, pattern_genus=1, pattern_delta=parse_poly("1 - t + t^2"))])
     g = genus_of_tower(t)
@@ -581,17 +599,17 @@ def test_walk_is_kept_per_value(monkeypatch):
 
 
 def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
-    import toroidal.towers as towers
+    import toroidal.knots as knots
     from toroidal.reports import build_report
 
     calls = []
-    spending = towers._alexander_spending
+    factors = knots._knot_factors
 
-    def counted(k, pairs):
+    def counted(k):
         calls.append(k)
-        return spending(k, pairs)
+        return factors(k)
 
-    monkeypatch.setattr(towers, "_alexander_spending", counted)
+    monkeypatch.setattr(knots, "_knot_factors", counted)
     doc = {
         "initial": "unknot",
         "prefix": [{"kind": "swallow", "knot": f"torus(2,{2 * i + 3})"} for i in range(63)],
