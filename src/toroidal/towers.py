@@ -285,12 +285,12 @@ class Tower:
     initial_genus: int | None = None
 
     @cached_property
-    def _walked(self) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
+    def _walked(self) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
         return _walk(self)
 
     @cached_property
-    def _states(self) -> tuple[_ChainState, ...]:
-        """The chain states of a valid tower; ``InvalidTowerError`` otherwise."""
+    def _states(self) -> tuple[tuple[int, bool], ...]:
+        """The ``(bound, exact)`` chain states of a valid tower; ``InvalidTowerError`` otherwise."""
         report, states = self._walked
         if not report.ok:
             raise InvalidTowerError(report)
@@ -354,75 +354,56 @@ class PreconditionError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class _ChainState:
-    bound: int
-    exact: bool
-
-
-def _stage_transfer(state: _ChainState, stage: Stage) -> tuple[_ChainState, str | None]:
-    """Apply one stage to the genus chain.
+def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, bool], str | None]:
+    """Apply one stage to the genus chain, whose states are ``(bound, exact)``.
 
     Returns the new state and, when a declared genus contradicts the chain,
     a message describing the failed inequality.
     """
+    bound, exact = state
     plb, pexact = stage._pattern_bound
     w = stage.winding
-    if w == 0 or (state.exact and state.bound == 0):
+    if w == 0 or (exact and bound == 0):
         # The inner torus sits in a ball, or the outer torus is exactly
         # unknotted; either way its core has the pattern's knot type.
-        out = _ChainState(plb, pexact)
+        out = stage._pattern_bound
     elif stage.concentric and not stage._faults:
-        out = _ChainState(state.bound, state.exact)
+        out = state
     elif stage.kind is StageKind.SWALLOW:
-        out = _ChainState(state.bound + plb, state.exact and pexact)
+        out = (bound + plb, exact and pexact)
     else:
-        out = _ChainState(w * state.bound + plb, False)
+        out = (w * bound + plb, False)
 
     message: str | None = None
     if stage.declared_genus is not None:
         d = stage.declared_genus
-        if d < out.bound:
+        if d < out[0]:
             message = (
                 f"declared genus {d} violates g' >= w*g + g(T,T') "
-                f"= {w}*{state.bound} + {plb} = {out.bound}"
-                if w >= 1 and not (state.exact and state.bound == 0)
-                else f"declared genus {d} is below the pattern genus {out.bound}"
+                f"= {w}*{bound} + {plb} = {out[0]}"
+                if w >= 1 and not (exact and bound == 0)
+                else f"declared genus {d} is below the pattern genus {out[0]}"
             )
-        elif out.exact and d != out.bound:
-            message = (
-                f"declared genus {d} contradicts the exactly determined genus {out.bound}"
-            )
+        elif out[1] and d != out[0]:
+            message = f"declared genus {d} contradicts the exactly determined genus {out[0]}"
         else:
-            out = _ChainState(d, True)
+            out = (d, True)
     return out, message
 
 
-def _initial_state(tower: Tower) -> tuple[_ChainState, list[Violation]]:
-    violations: list[Violation] = []
+def _initial_state(tower: Tower) -> tuple[tuple[int, bool], list[Violation]]:
     g = genus_of_knot(tower.initial)
-    state = _ChainState(g.lower, g.is_exact)
-    if tower.initial_genus is not None:
-        d = tower.initial_genus
-        if g.is_exact and d != g.lower:
-            violations.append(
-                Violation(
-                    ViolationKind.MALFORMED_STAGE,
-                    "initial",
-                    f"declared initial genus {d} contradicts the computed genus {g.lower}",
-                )
-            )
-        elif d < g.lower:
-            violations.append(
-                Violation(
-                    ViolationKind.MALFORMED_STAGE,
-                    "initial",
-                    f"declared initial genus {d} is below the provable lower bound {g.lower}",
-                )
-            )
-        else:
-            state = _ChainState(d, True)
-    return state, violations
+    d = tower.initial_genus
+    if d is None:
+        return (g.lower, g.is_exact), []
+    if g.is_exact and d != g.lower:
+        relation = "contradicts the computed genus"
+    elif d < g.lower:
+        relation = "is below the provable lower bound"
+    else:
+        return (d, True), []
+    message = f"declared initial genus {d} {relation} {g.lower}"
+    return (g.lower, g.is_exact), [Violation(ViolationKind.MALFORMED_STAGE, "initial", message)]
 
 
 def _unrolled(tower: Tower) -> Iterable[tuple[Stage, str]]:
@@ -437,7 +418,7 @@ def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
     return [Violation(kind, where, message) for kind, message in stage._faults]
 
 
-def _walk(tower: Tower) -> tuple[ValidationReport, tuple[_ChainState, ...]]:
+def _walk(tower: Tower) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
     """The validation report, and the chain states before and after each stage."""
     state, violations = _initial_state(tower)
     if not tower.cycle:
@@ -645,41 +626,40 @@ def genus_of_tower(tower: Tower) -> GenusResult:
     return tower._genus_result
 
 
-def _genus(tower: Tower, states: tuple[_ChainState, ...]) -> GenusResult:
+def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
     cycle_ws = [s.winding for s in tower.cycle]
     all_ge1 = all(w >= 1 for w in cycle_ws)
 
     if all_ge1 and any(s._pattern_bound[0] > 0 for s in tower.cycle):
         return GenusResult.infinite(GenusRule.STRONGLY_KNOTTED)
 
-    # The chain entering the cycle, then after each cycle pass of the walk.
-    n, c = len(tower.prefix), len(tower.cycle)
-    entering, first, last = states[n], states[n + c], states[n + 2 * c]
+    # The last state, after the walk's second cycle pass, is the fixed point:
+    # a second pass ends where the first did.  A winding-0 stage, or a
+    # declared genus (all hold on a valid tower), sets the chain to a value
+    # independent of what enters it.  Past the return above, every cycle
+    # pattern bound is zero and every winding is one or the bound stays zero,
+    # so each other stage keeps the bound and at most clears exactness.  With
+    # every winding at least one the chain never falls: a stage maps a bound
+    # b to b, b + g or w*b + g, and a declared genus below that value makes
+    # the tower invalid.  So where the first cohomology is not finitely
+    # generated and every winding is at least one, a positive bound anywhere
+    # on the chain is positive here, and gives the winding blowup.
+    bound, exact = states[-1]
+    if all_ge1 and any(w >= 2 for w in cycle_ws) and bound > 0:
+        return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
 
-    if all_ge1 and any(w >= 2 for w in cycle_ws):
-        if entering.bound > 0 or first.bound > 0:
-            return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
-
-    # ``last`` is the fixed point: a second cycle pass ends where the first
-    # did.  A winding-0 stage, or a declared genus (all hold on a valid
-    # tower), sets the chain to a value independent of what enters it.  Past
-    # the returns above, every cycle pattern bound is zero and every winding
-    # is one or the bound stays zero, so each other stage keeps the bound and
-    # at most clears exactness: on the settled states, identity or constant.
-    if last.exact:
-        if any(w == 0 for w in cycle_ws) and last.bound > 0:
-            # The defining tori all have this genus, but for a homologically
-            # trivial set the limit is only an upper bound for the genus.
-            return GenusResult.lower_bound(0)
+    if any(w == 0 for w in cycle_ws) and not (exact and bound == 0):
+        # A winding-0 cycle supports only exact genus 0: for a homologically
+        # trivial set the limit of the tori's genera is only an upper bound.
+        return GenusResult.lower_bound(0)
+    if exact:
         rule = (
             GenusRule.DECLARED_CONSISTENT_CHAIN
             if any(s.declared_genus is not None for s in tower.cycle)
             else GenusRule.STABLE_CHAIN
         )
-        return GenusResult.exact(last.bound, rule)
-    if any(w == 0 for w in cycle_ws):
-        return GenusResult.lower_bound(0)
-    return GenusResult.lower_bound(last.bound)
+        return GenusResult.exact(bound, rule)
+    return GenusResult.lower_bound(bound)
 
 
 def is_unknotted_tower(tower: Tower) -> bool:
@@ -738,7 +718,9 @@ def reembed_unknotted(tower: Tower) -> Tower:
     Once the chain reaches its final exact value, every later pattern is
     trivial (the genus inequality forces it), so re-embedding by the
     framing that unknots the stabilized torus yields an unknotted tower:
-    initial core the unknot, later stages kept with trivial patterns.
+    initial core the unknot, later stages kept with trivial patterns.  The
+    forced stages drop their declared genera, which counted the knotting
+    that the re-embedding removes.
     """
     g = tower._genus_result
     if g.is_infinite:
@@ -748,25 +730,22 @@ def reembed_unknotted(tower: Tower) -> Tower:
     if g.value == 0:
         return tower
 
-    target = _ChainState(g.value, True)
-    if target not in tower._states:
-        raise PreconditionError("GenusNotExact", "no stabilization index found")
-    split = tower._states.index(target)
+    # The exact genus is the last chain state's bound, so the index exists.
+    split = tower._states.index((g.value, True))
 
     def forced(stage: Stage) -> Stage:
         if stage.kind is StageKind.CORE_PARALLEL:
-            return stage
+            return core_parallel()
         return generic(stage.winding, 0, ONE, None, stage.concentric)
 
-    if split <= len(tower.prefix):
-        new_prefix = tuple(forced(s) for s in tower.prefix[split:])
-    else:
-        offset = (split - len(tower.prefix)) % len(tower.cycle)
-        new_prefix = tuple(forced(s) for s in tower.cycle[offset:]) if offset else ()
+    # The stages past the split, up to the start of a cycle pass (none when
+    # the split ends a pass).
+    n, c = len(tower.prefix), len(tower.cycle)
+    rest = tower.prefix[split:] if split <= n else tower.cycle[(split - n) % c or c :]
     return Tower(
         name=f"{tower.name} (unknotted reembedding)",
         initial=UNKNOT,
-        prefix=new_prefix,
+        prefix=tuple(forced(s) for s in rest),
         cycle=tuple(forced(s) for s in tower.cycle),
     )
 
@@ -816,8 +795,10 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
     Infinite genus obstructs outright.  Failing that, a set whose first
     cohomology is not finitely generated would have to be unknotted were it
     an attractor, so provable knottedness of a natural neighbourhood (all
-    windings nonzero) also obstructs.  ``no_obstruction_found`` is not a
-    realizability guarantee.
+    windings nonzero) also obstructs.  There a positive genus bound already
+    gives infinite genus, so the knottedness left to prove is that of an
+    initial knot with a prime-flagged table summand of undeclared genus.
+    ``no_obstruction_found`` is not a realizability guarantee.
     """
     genus = tower._genus_result
     if genus.is_infinite:
@@ -828,15 +809,14 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
             + genus.justification,
         )
     if tower._coh.h1 is H1Class.NOT_FINITELY_GENERATED:
-        stages = tower.prefix + tower.cycle
-        all_windings_ge1 = all(s.winding >= 1 for s in stages)
-        # Knotted only where proved: a positive genus bound, or a prime summand.
+        all_windings_ge1 = all(s.winding >= 1 for s in tower.prefix + tower.cycle)
+        # Knotted only where proved.  The genus chain need not be read: with
+        # every winding at least one it never falls, so a positive bound on
+        # it would have reached the cycle and given infinite genus above.
+        # What is left is a prime summand whose genus the chain cannot see.
         initial = normalize(tower.initial)
         summands = initial.parts if isinstance(initial, Sum) else (initial,)
-        knotted = any(st.bound > 0 for st in tower._states) or any(
-            isinstance(k, Table) and k.prime for k in summands
-        )
-        if all_windings_ge1 and knotted:
+        if all_windings_ge1 and any(isinstance(k, Table) and k.prime for k in summands):
             return HomeoVerdict(
                 True,
                 "knotted_with_h1_not_z",
@@ -900,27 +880,15 @@ OMEGA = "omega"  # multiplicity of summands recurring in the cycle
 
 
 def _summand_multiset(tower: Tower) -> dict[KnotExpr, int | str]:
-    for stage, where in [(s, f"prefix[{i}]") for i, s in enumerate(tower.prefix)] + [
-        (s, f"cycle[{j}]") for j, s in enumerate(tower.cycle)
-    ]:
-        if stage.kind is not StageKind.SWALLOW:
-            raise PreconditionError(
-                "NotConnectedSumShape", f"{where} is not a swallow stage"
-            )
-    counts: dict[KnotExpr, int | str] = {}
-    finite = prime_summands(tower.initial).copy()
-    for stage in tower.prefix:
-        assert stage.knot is not None
-        finite.update(prime_summands(stage.knot))
-    omega: set[KnotExpr] = set()
-    for stage in tower.cycle:
-        assert stage.knot is not None
-        omega.update(prime_summands(stage.knot))
-    for k, c in finite.items():
-        counts[k] = c
-    for k in omega:
-        counts[k] = OMEGA  # finitely many prefix copies are absorbed
-    return counts
+    finite: Counter[KnotExpr] = Counter()
+    omega: Counter[KnotExpr] = Counter()
+    for key, stages, summands in (("prefix", tower.prefix, finite), ("cycle", tower.cycle, omega)):
+        for i, stage in enumerate(stages):
+            if stage.kind is not StageKind.SWALLOW:
+                raise PreconditionError("NotConnectedSumShape", f"{key}[{i}] is not a swallow stage")
+            summands.update(prime_summands(stage.knot))  # a valid swallow stage carries its knot
+    finite.update(prime_summands(tower.initial))
+    return {**finite, **dict.fromkeys(omega, OMEGA)}  # finitely many prefix copies are absorbed
 
 
 def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
@@ -939,15 +907,14 @@ def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
             None,
             "the prime-summand multisets agree; the summand condition is only necessary",
         )
-    for k in sorted(set(ma) | set(mb), key=str):
-        if ma.get(k, 0) != mb.get(k, 0):
-            return DistinguishResult(
-                "inequivalent",
-                str(k),
-                f"summand {k} occurs {ma.get(k, 0)} times in {a.name!r} "
-                f"but {mb.get(k, 0)} times in {b.name!r}",
-            )
-    raise AssertionError("unreachable")
+    # ``ma != mb``, so some summand occurs a different number of times.
+    k = min((k for k in set(ma) | set(mb) if ma.get(k, 0) != mb.get(k, 0)), key=str)
+    return DistinguishResult(
+        "inequivalent",
+        str(k),
+        f"summand {k} occurs {ma.get(k, 0)} times in {a.name!r} "
+        f"but {mb.get(k, 0)} times in {b.name!r}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared helpers: a random validated-tower generator, PD code generators
-(T(2, n), braid closures, connected sums, mirrors), the mirror of a Laurent
-polynomial and suite timing."""
+(T(2, n), braid closures, cables of torus knots, connected sums, mirrors),
+the mirror of a Laurent polynomial and suite timing."""
 
 from __future__ import annotations
 
@@ -91,15 +91,41 @@ def braid_closure_quads(p: int, q: int) -> list[Quad]:
     """PD quads of the closure of the braid (s1 s2 ... s(p-1))^q.
 
     For coprime ``p, q >= 2`` this is the torus knot T(p, q), with
-    (p - 1) q crossings and p Seifert circles.  Generator ``i`` takes the
-    strand at position ``i - 1`` under the one at position ``i``; each
-    crossing is recorded as (under in, over in, under out, over out).
+    (p - 1) q crossings and p Seifert circles.
     """
-    at = list(range(p))  # edge id at each strand position
+    return positive_braid_quads(p, [k % (p - 1) + 1 for k in range(q * (p - 1))])
+
+
+def cable_braid_quads(p: int, q: int, m: int, k: int) -> list[Quad]:
+    """PD quads of the cable C(m, k + m (p - 1) q) of T(p, q), for coprime ``m, k``.
+
+    Each generator of (s1 ... s(p-1))^q becomes an m x m bundle crossing,
+    in which every strand of the left bundle passes under the right one;
+    then (s1 ... s(m-1))^k twists the first bundle.  The bundles follow the
+    blackboard framing of the T(p, q) closure, its writhe (p - 1) q, so the
+    closure is the (m, k + m (p - 1) q) cable.  The braid is positive, with
+    m^2 (p - 1) q + k (m - 1) crossings.
+    """
+    word = []
+    for c in range(q * (p - 1)):
+        start = c % (p - 1) * m  # strands before the left bundle
+        for a in range(m):
+            word += [start + m - a + j for j in range(m)]
+    word += [j for _ in range(k) for j in range(1, m)]
+    return positive_braid_quads(p * m, word)
+
+
+def positive_braid_quads(strands: int, word: list[int]) -> list[Quad]:
+    """PD quads of the closure of a positive braid word that closes to a knot.
+
+    Generator ``i`` takes the strand at position ``i - 1`` under the one at
+    position ``i``; each crossing is recorded as (under in, over in, under
+    out, over out).
+    """
+    at = list(range(strands))  # edge id at each strand position
     crossings = []
-    for k in range(q * (p - 1)):
-        i = k % (p - 1) + 1
-        edges = [at[i - 1], at[i], p + 2 * k, p + 2 * k + 1]
+    for k, i in enumerate(word):
+        edges = [at[i - 1], at[i], strands + 2 * k, strands + 2 * k + 1]
         crossings.append(edges)
         at[i - 1], at[i] = edges[3], edges[2]
     closing = {edge: pos for pos, edge in enumerate(at)}
@@ -111,7 +137,7 @@ def braid_closure_quads(p: int, q: int) -> list[Quad]:
         label[e] = len(label) + 1
         e = after[e]
     if len(label) != len(after):
-        raise ValueError(f"the closure of T({p},{q}) has more than one component")
+        raise ValueError("the braid closes to more than one component")
     return [tuple(label[e] for e in x) for x in crossings]
 
 

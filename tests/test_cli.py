@@ -100,6 +100,50 @@ def test_tower_report_strict_json_types_exit_2(tmp_path):
     assert "cycle[0]" in err and "concentric" in err
 
 
+def report_of(tmp_path, doc, *flags):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    return run([*flags, "tower", "report", str(path)])
+
+
+def test_tower_report_initial_genus(tmp_path):
+    doc = {"initial": "torus(2,3)", "cycle": [{"kind": "core_parallel"}]}
+    code, out, _ = report_of(tmp_path, {**doc, "initial_genus": 1}, "--json")
+    assert code == 0 and json.loads(out)["genus"] == "exact:1"
+    for d in (0, 2):
+        code, out, err = report_of(tmp_path, {**doc, "initial_genus": d})
+        assert code == 2 and out == ""
+        assert f"initial: MalformedStage: declared initial genus {d} contradicts the computed genus 1" in err
+
+
+def test_tower_report_prefix_pattern_polynomial(tmp_path):
+    # A genus-1 declaration over a winding-1 stage needs the stage's pattern
+    # polynomial; a genus-0 pattern is unknotted, so its polynomial is 1.
+    stage = {"kind": "generic", "w": 1, "declared_genus": 1}
+    doc = {"initial": "torus(2,3)", "prefix": [stage], "cycle": [{"kind": "core_parallel"}]}
+    code, out, _ = report_of(tmp_path, doc, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["alexander"] is None
+    assert report["alexander_status"] == "unavailable:UndeclaredInvariant"
+    doc["prefix"] = [{**stage, "pattern_genus": 0}]
+    code, out, _ = report_of(tmp_path, doc, "--json")
+    report = json.loads(out)
+    assert code == 0 and (report["alexander"], report["alexander_status"]) == ("1 - t + t^2", "ok")
+
+
+def test_tower_report_text_flags_a_mixed_cycle(tmp_path):
+    doc = {
+        "initial": "unknot",
+        "cycle": [{"kind": "core_parallel"}, {"kind": "generic", "w": 1, "pattern_genus": 0}],
+    }
+    code, out, _ = report_of(tmp_path, doc)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "  [flow note] mixed cycle: verdict extrapolated through the recurring "
+        "non-concentric stage"
+    )
+
+
 def test_tower_report_deep_knot_expression_exit_2(tmp_path):
     for doc in [
         {"initial": DEEP_KNOT, "cycle": [{"kind": "core_parallel"}]},

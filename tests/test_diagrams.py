@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     braid_closure_quads,
+    cable_braid_quads,
     connected_sum_quads,
     mirror,
     mirror_quads,
@@ -31,6 +32,7 @@ from toroidal.diagrams import (
 )
 from toroidal.knots import Sum, TABLE_KNOTS, Torus, alexander_of_knot, genus_of_knot
 from toroidal.laurent import ONE, ZERO, LaurentPoly, parse_poly
+from toroidal.towers import Tower, core_parallel, generic, genus_of_tower, tower_alexander, validate_tower
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIGURE_EIGHT_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -310,6 +312,45 @@ def test_braid_closures_match_the_closed_forms(p):
         assert alexander_from_diagram(d) == alexander_of_knot(Torus(p, q))
         g = (p - 1) * (q - 1) // 2
         assert genus_bounds(d) == (g, g)
+
+
+def _cables() -> list[tuple[int, int, int, int]]:
+    """(p, q, m, k): a cable C(m, k + m (p - 1) q) of every T(p, q), p < q,
+    for m = 2 and 3 within the crossing cap.  The twists k run through the
+    values up to 7 prime to m in turn, one cable per knot and m; all of
+    them for every knot cost about 2.5 s."""
+    out = []
+    for m in (2, 3):
+        ks = [k for k in range(1, 8) if math.gcd(m, k) == 1]
+        knots = [
+            (p, q)
+            for p in range(2, MAX_CROSSINGS)
+            for q in range(p + 1, MAX_CROSSINGS)
+            if math.gcd(p, q) == 1 and m * m * (p - 1) * q + m - 1 <= MAX_CROSSINGS
+        ]
+        for i, (p, q) in enumerate(knots):
+            fits = [k for k in ks if m * m * (p - 1) * q + k * (m - 1) <= MAX_CROSSINGS]
+            out.append((p, q, m, fits[i % len(fits)]))
+    return out
+
+
+@pytest.mark.parametrize("p, q, m, k", _cables())
+def test_cable_towers_match_their_diagrams(p, q, m, k):
+    # The tower T(p, q), then the cable pattern T(m, n) wound m times, then
+    # a tame tail.  Satellite theory gives the cable's polynomial
+    # D_T(m,n)(t) * D_T(p,q)(t^m) and its genus m g(T(p,q)) + g(T(m,n));
+    # Seifert's algorithm is minimal on the positive braid closure.
+    pattern = Torus(m, k + m * (p - 1) * q)
+    g_pattern = genus_of_knot(pattern).lower
+    g = m * genus_of_knot(Torus(p, q)).lower + g_pattern
+    stage = generic(m, g_pattern, alexander_of_knot(pattern), declared_genus=g)
+    t = Tower("cable", Torus(p, q), (stage,), (core_parallel(),))
+    assert validate_tower(t).ok
+    assert str(genus_of_tower(t)) == f"exact:{g}"
+    d = parse_pd(pd_text(cable_braid_quads(p, q, m, k)))
+    assert d.n == m * m * (p - 1) * q + k * (m - 1) <= MAX_CROSSINGS
+    assert tower_alexander(t) == alexander_from_diagram(d)
+    assert genus_bounds(d) == (g, g)
 
 
 # Summands as (p, q, mirrored); every sum has at most 100 crossings.

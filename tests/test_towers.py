@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_valid_towers
 from toroidal.catalog import built_in_towers, mask_tower
-from toroidal.knots import Torus, UNKNOT, alexander_of_knot
-from toroidal.laurent import ONE, parse_poly
+from toroidal.knots import TABLE_KNOTS, Table, Torus, UNKNOT, alexander_of_knot
+from toroidal.laurent import ONE, ZERO, parse_poly
 from toroidal.towers import (
     GenusKind,
     GenusRule,
@@ -80,6 +80,63 @@ def test_malformed_stage_checks():
     )
     empty_cycle = Tower("x", UNKNOT, (), ())
     assert not validate_tower(empty_cycle).ok
+
+
+TREFOIL_DELTA = parse_poly("1 - t + t^2")
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        (generic(1, pattern_genus=-1), "negative pattern genus -1"),
+        (wind(2, declared_genus=-1), "negative declared genus -1"),
+        (
+            Stage(StageKind.CORE_PARALLEL, 2, 0, ONE, None, True),
+            "core-parallel stage must have w=1 and a trivial pattern",
+        ),
+        (
+            Stage(StageKind.CORE_PARALLEL, 1, 1, TREFOIL_DELTA, None, True),
+            "core-parallel stage must have w=1 and a trivial pattern",
+        ),
+        (Stage(StageKind.CORE_PARALLEL, 1, 0, ONE, None, False), "core-parallel stage must be concentric"),
+        (Stage(StageKind.SWALLOW, 2, knot=TREFOIL), "swallow stage must have w=1"),
+        (Stage(StageKind.SWALLOW, 1), "swallow stage carries no knot"),
+        (Stage(StageKind.WIND, 2, 1, TREFOIL_DELTA), "wind stage must have a trivial pattern"),
+        (generic(1, pattern_genus=0, pattern_delta=ZERO), "pattern polynomial cannot be zero"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_stage_contract_messages(stage, message):
+    first = validate_tower(tower(UNKNOT, cycle=[stage])).violations[0]
+    assert (first.kind, first.where, first.message) == (
+        ViolationKind.MALFORMED_STAGE, "cycle[0] (periodic)", message
+    )
+
+
+def test_swallow_stage_without_a_knot_is_refused_before_its_summands_are_read():
+    t = tower(UNKNOT, cycle=[Stage(StageKind.SWALLOW, 1)])
+    with pytest.raises(InvalidTowerError, match="swallow stage carries no knot"):
+        distinguish_connected_sums(t, t)
+
+
+def test_declared_initial_genus():
+    # A declaration must agree with an exactly computed genus.
+    assert str(genus_of_tower(tower(TREFOIL, initial_genus=1))) == "exact:1"
+    for d in (0, 2):
+        (violation,) = validate_tower(tower(TREFOIL, initial_genus=d)).violations
+        assert str(violation) == (
+            f"initial: MalformedStage: declared initial genus {d} contradicts the computed genus 1"
+        )
+    # Over an undeclared table knot it may pin the genus, but not below the bound.
+    mystery = Table("x")
+    (violation,) = validate_tower(tower(mystery, initial_genus=-1)).violations
+    assert str(violation) == (
+        "initial: MalformedStage: declared initial genus -1 is below the provable lower bound 0"
+    )
+    assert str(genus_of_tower(tower(mystery, initial_genus=2))) == "exact:2"
+    t = tower(TREFOIL, initial_genus=1)
+    doc = tower_to_dict(t)
+    assert doc["initial_genus"] == 1 and tower_from_dict(doc) == t
 
 
 def test_declared_contradicting_exact_value():
@@ -290,6 +347,23 @@ def test_reembed_refuses_infinite_genus():
     assert exc.value.reason == "InfiniteGenus"
 
 
+def test_reembed_refuses_a_genus_that_is_not_exact():
+    with pytest.raises(PreconditionError) as exc:
+        reembed_unknotted(tower(TREFOIL, cycle=[generic(1, pattern_genus=0)]))
+    assert exc.value.reason == "GenusNotExact"
+
+
+def test_reembed_drops_a_core_parallel_declared_genus():
+    # The declaration pins the genus of the knotted tower; the re-embedded
+    # tower is unknotted, where the same declaration would contradict it.
+    t = tower_from_dict({"initial": "torus(2,3)", "cycle": [{"kind": "core_parallel", "declared_genus": 1}]})
+    assert str(genus_of_tower(t)) == "exact:1"
+    out = reembed_unknotted(t)
+    assert validate_tower(out).ok
+    assert out.cycle == (core_parallel(),)
+    assert is_unknotted_tower(out)
+
+
 def test_reembed_mid_prefix_stabilization():
     t = tower(UNKNOT, prefix=[swallow(TREFOIL), core_parallel()], cycle=[core_parallel()])
     out = reembed_unknotted(t)
@@ -381,6 +455,14 @@ def test_distinguish_multiplicities_matter():
 def test_distinguish_masks_truncated_to_six():
     a, b = mask_tower("10", prefix_len=6), mask_tower("110", prefix_len=6)
     assert distinguish_connected_sums(a, b).inequivalent
+
+
+def test_distinguish_prime_table_summands():
+    fig8, k52 = TABLE_KNOTS["figure_eight"], TABLE_KNOTS["5_2"]
+    a = tower(fig8, cycle=[swallow(k52)])
+    b = tower(k52, cycle=[swallow(fig8)])
+    result = distinguish_connected_sums(a, b)
+    assert result.verdict == "inequivalent" and result.witness == "table(5_2)"
 
 
 def test_distinguish_requires_connected_sum_shape():
@@ -642,9 +724,9 @@ def test_second_cycle_pass_ends_where_the_first_did():
 def _assert_classifiers_consistent(t: Tower) -> None:
     states = t._states
     stages = list(_unrolled(t))
-    for (stage, _w), before, after in zip(stages, states, states[1:]):
+    for (stage, _w), (before, _), (after, _) in zip(stages, states, states[1:]):
         if stage.winding >= 1:
-            assert after.bound >= before.bound, (t, stage)
+            assert after >= before, (t, stage)
 
     coh = cech_h1(t)
     g = genus_of_tower(t)
@@ -663,6 +745,23 @@ def _assert_classifiers_consistent(t: Tower) -> None:
 
     if g.kind is GenusKind.EXACT:
         assert is_unknotted_tower(reembed_unknotted(t)), t
+
+
+def test_chain_stays_at_zero_where_h1_is_not_finitely_generated():
+    # With every winding at least one the chain never falls, so where it
+    # ends at bound 0 (finite genus) every state has bound 0: the
+    # homeomorphism verdict need not read the chain.
+    checked = 0
+    for seed in (3, 1105):
+        for t in random_valid_towers(seed=seed, count=300):
+            if (
+                cech_h1(t).h1 is H1Class.NOT_FINITELY_GENERATED
+                and all(s.winding >= 1 for s in t.prefix + t.cycle)
+                and not genus_of_tower(t).is_infinite
+            ):
+                assert all(bound == 0 for bound, _exact in t._states), t
+                checked += 1
+    assert checked > 20
 
 
 def test_random_towers_are_internally_consistent():
