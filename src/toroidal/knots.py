@@ -4,7 +4,8 @@ The algebra covers the decidable fragment needed by the tower classifiers:
 the unknot, torus knots ``T(p, q)``, finite connected sums, and table
 entries carrying externally known invariants.  Equivalence is decided only
 where it is decidable: torus knots by unordered parameter pairs, connected
-sums by prime-summand multisets.
+sums by prime-summand multisets.  Every knot reader reads one summand walk,
+``_summands``: sums flattened, unknots dropped, torus parameters ordered.
 
 ``T(p, q)`` has ``Delta = t^c + sum(t^s - t^(s+1) for s in <p, q>, s < c)``
 with ``c = (p-1)(q-1)``: ``1 - t`` times the Poincare series of the semigroup
@@ -98,14 +99,20 @@ class Sum:
 class Table:
     """A knot injected with externally known invariants.
 
-    ``genus`` and ``delta`` may be ``None`` when unknown; ``prime`` asserts
-    primality and is taken on trust (it is not verified here).
+    ``genus`` (never negative) and ``delta`` may be ``None`` when unknown;
+    ``prime`` asserts primality on trust, unverified, and refuses genus 0.
     """
 
     name: str
     genus: int | None = None
     delta: LaurentPoly | None = None
     prime: bool = False
+
+    def __post_init__(self) -> None:
+        if self.genus is not None and self.genus < 0:
+            raise ValueError(f"table knot {self.name!r} declares negative genus {self.genus}")
+        if self.prime and self.genus == 0:
+            raise ValueError(f"table knot {self.name!r} is flagged prime but declares genus 0")
 
     def __str__(self) -> str:
         return f"table({self.name})"
@@ -147,55 +154,48 @@ class KnotGenus:
         return f"[{self.lower}, {hi}]"
 
 
+def _summands(k: KnotExpr) -> list[Torus | Table]:
+    """The nontrivial summands of ``k`` in order: sums flattened, unknots
+    dropped, torus parameters ordered p <= q."""
+    if isinstance(k, Torus):
+        return [k if k.p <= k.q else Torus(k.q, k.p)]
+    if isinstance(k, Table):
+        return [k]
+    out: list[Torus | Table] = []
+    if not isinstance(k, Unknot):
+        for part in k.parts:
+            out += _summands(part)
+    return out
+
+
+def _summand_genus(s: Torus | Table) -> int | None:
+    """The genus of a prime summand; ``None`` for an undeclared table genus."""
+    if isinstance(s, Torus):
+        return (s.p - 1) * (s.q - 1) // 2
+    return s.genus
+
+
 def normalize(k: KnotExpr) -> KnotExpr:
     """Flatten sums, drop unknot summands, order torus parameters p <= q."""
-    if isinstance(k, Unknot):
-        return UNKNOT
-    if isinstance(k, Torus):
-        return k if k.p <= k.q else Torus(k.q, k.p)
-    if isinstance(k, Table):
-        return k
-    parts: list[KnotExpr] = []
-    for part in k.parts:
-        n = normalize(part)
-        if isinstance(n, Unknot):
-            continue
-        if isinstance(n, Sum):
-            parts.extend(n.parts)
-        else:
-            parts.append(n)
-    if not parts:
-        return UNKNOT
-    if len(parts) == 1:
-        return parts[0]
-    return Sum(tuple(parts))
+    parts = _summands(k)
+    return Sum(tuple(parts)) if len(parts) > 1 else parts[0] if parts else UNKNOT
 
 
 def genus_of_knot(k: KnotExpr) -> KnotGenus:
-    """Genus of a normalized knot expression.
+    """Genus of any knot expression, normalized or not.
 
     Exact for the unknot, torus knots, table entries with a declared genus,
     and sums of these; otherwise the best bounds.  Genus is additive over
     connected sums.
     """
-    k = normalize(k)
-    if isinstance(k, Unknot):
-        return KnotGenus.exact(0)
-    if isinstance(k, Torus):
-        return KnotGenus.exact((k.p - 1) * (k.q - 1) // 2)
-    if isinstance(k, Table):
-        if k.genus is not None:
-            return KnotGenus.exact(k.genus)
+    lower, known = 0, True
+    for s in _summands(k):
+        g = _summand_genus(s)
         # An undeclared table genus stays unknown; nothing certifies the
         # knot nontrivial, so even a positive lower bound would be unsound.
-        return KnotGenus(0, None)
-    lower = 0
-    upper: int | None = 0
-    for part in k.parts:
-        g = genus_of_knot(part)
-        lower += g.lower
-        upper = None if (upper is None or g.upper is None) else upper + g.upper
-    return KnotGenus(lower, upper)
+        known = known and g is not None
+        lower += g or 0
+    return KnotGenus(lower, lower if known else None)
 
 
 # Largest genus whose polynomial alexander_of_knot builds, and largest genus
@@ -261,42 +261,27 @@ def satellite_alexander(steps: Iterable[tuple[KnotExpr | LaurentPoly, int]]) -> 
 
 def _knot_factors(k: KnotExpr) -> list[LaurentPoly]:
     """The polynomials of the prime summands of a knot within the genus limit."""
-    k = normalize(k)
-    genus = genus_of_knot(k).lower
+    parts = _summands(k)
+    genus = sum(_summand_genus(s) or 0 for s in parts)
     if genus > MAX_GENUS:
         raise ValueError(f"knot genus {genus} exceeds the limit {MAX_GENUS}")
-    factors = []
-    for part in k.parts if isinstance(k, Sum) else (k,):
-        if isinstance(part, Torus):
-            factors.append(_torus_alexander(part.p, part.q))
-        elif isinstance(part, Table):
-            if part.delta is None:
-                raise InvariantUnavailable(f"table knot {part.name!r} has no declared Alexander polynomial")
-            factors.append(part.delta)
-    return factors or [ONE]
+    for part in parts:
+        if isinstance(part, Table) and part.delta is None:
+            raise InvariantUnavailable(f"table knot {part.name!r} has no declared Alexander polynomial")
+    return [s.delta if isinstance(s, Table) else _torus_alexander(s.p, s.q) for s in parts] or [ONE]
 
 
 def prime_summands(k: KnotExpr) -> Counter[KnotExpr]:
-    """Multiset of nontrivial prime summands of a normalized expression.
+    """Multiset of nontrivial prime summands of any knot expression.
 
     Torus knots are prime; table entries must carry ``prime=True`` to be
     accepted as summands.
     """
-    k = normalize(k)
-    if isinstance(k, Unknot):
-        return Counter()
-    if isinstance(k, Torus):
-        return Counter([k])
-    if isinstance(k, Table):
-        if not k.prime:
-            raise NotDecomposable(
-                f"table knot {k.name!r} is not flagged prime and carries no decomposition"
-            )
-        return Counter([k])
-    acc: Counter[KnotExpr] = Counter()
-    for part in k.parts:
-        acc.update(prime_summands(part))
-    return acc
+    parts = _summands(k)
+    for part in parts:
+        if isinstance(part, Table) and not part.prime:
+            raise NotDecomposable(f"table knot {part.name!r} is not flagged prime and carries no decomposition")
+    return Counter(parts)
 
 
 # Built-in table knots available to the text grammar.  These invariants are

@@ -1,6 +1,6 @@
 """Shared helpers: a random validated-tower generator, PD code generators
-(T(2, n), braid closures, cables of torus knots, connected sums, mirrors),
-the mirror of a Laurent polynomial and suite timing."""
+(T(2, n), signed braid closures, cables and iterated cables, connected
+sums, mirrors), the mirror of a Laurent polynomial and suite timing."""
 
 from __future__ import annotations
 
@@ -93,43 +93,72 @@ def braid_closure_quads(p: int, q: int) -> list[Quad]:
     For coprime ``p, q >= 2`` this is the torus knot T(p, q), with
     (p - 1) q crossings and p Seifert circles.
     """
-    return positive_braid_quads(p, [k % (p - 1) + 1 for k in range(q * (p - 1))])
+    return braid_quads(p, torus_braid(p, q))
+
+
+def torus_braid(p: int, q: int) -> list[int]:
+    """The braid word (s1 s2 ... s(p-1))^q on p strands."""
+    return [k % (p - 1) + 1 for k in range(q * (p - 1))]
+
+
+def cable_braid(strands: int, word: list[int], m: int, k: int) -> list[int]:
+    """The braid word on ``m * strands`` strands whose closure is the cable
+    C(m, k + m * writhe) of the closure of ``word``, for coprime ``m, k``.
+
+    Each generator of sign +-1 becomes an m x m bundle crossing whose m^2
+    generators all have that sign; a positive one takes every strand of the
+    left bundle under the right one.  Then (s1 ... s(m-1))^k twists the
+    first bundle, with inverse generators for negative ``k``.  The bundles
+    follow the blackboard framing of the companion closure, its
+    :func:`writhe`, which gives the cable's second parameter.
+    """
+    cabled = []
+    for g in word:
+        sign = 1 if g > 0 else -1
+        start = (abs(g) - 1) * m  # strands before the left bundle
+        for a in range(m):
+            cabled += [sign * (start + m - a + j) for j in range(m)]
+    twist = 1 if k > 0 else -1
+    return cabled + [twist * j for _ in range(abs(k)) for j in range(1, m)]
+
+
+def writhe(word: list[int]) -> int:
+    """The sum of the signs of a braid word's generators."""
+    return sum(1 if g > 0 else -1 for g in word)
 
 
 def cable_braid_quads(p: int, q: int, m: int, k: int) -> list[Quad]:
     """PD quads of the cable C(m, k + m (p - 1) q) of T(p, q), for coprime ``m, k``.
 
-    Each generator of (s1 ... s(p-1))^q becomes an m x m bundle crossing,
-    in which every strand of the left bundle passes under the right one;
-    then (s1 ... s(m-1))^k twists the first bundle.  The bundles follow the
-    blackboard framing of the T(p, q) closure, its writhe (p - 1) q, so the
-    closure is the (m, k + m (p - 1) q) cable.  The braid is positive, with
-    m^2 (p - 1) q + k (m - 1) crossings.
+    The closure of T(p, q)'s braid has writhe (p - 1) q; for ``k > 0`` the
+    cable braid is positive, with m^2 (p - 1) q + k (m - 1) crossings.
     """
-    word = []
-    for c in range(q * (p - 1)):
-        start = c % (p - 1) * m  # strands before the left bundle
-        for a in range(m):
-            word += [start + m - a + j for j in range(m)]
-    word += [j for _ in range(k) for j in range(1, m)]
-    return positive_braid_quads(p * m, word)
+    return braid_quads(p * m, cable_braid(p, torus_braid(p, q), m, k))
 
 
-def positive_braid_quads(strands: int, word: list[int]) -> list[Quad]:
-    """PD quads of the closure of a positive braid word that closes to a knot.
+def braid_quads(strands: int, word: list[int]) -> list[Quad]:
+    """PD quads of the closure of a braid word that closes to a knot.
 
     Generator ``i`` takes the strand at position ``i - 1`` under the one at
-    position ``i``; each crossing is recorded as (under in, over in, under
-    out, over out).
+    position ``i``, and is recorded as (under in, over in, under out, over
+    out); its inverse ``-i`` takes the strand from position ``i`` under
+    the one from ``i - 1``, recorded as (under in, over out, under out,
+    over in).
     """
     at = list(range(strands))  # edge id at each strand position
-    crossings = []
-    for k, i in enumerate(word):
-        edges = [at[i - 1], at[i], strands + 2 * k, strands + 2 * k + 1]
-        crossings.append(edges)
-        at[i - 1], at[i] = edges[3], edges[2]
+    crossings = []  # (under in, over in, under out, over out, sign)
+    for k, g in enumerate(word):
+        i, uo, oo = abs(g), strands + 2 * k, strands + 2 * k + 1
+        # Both strands leave at the other's position.
+        if g > 0:
+            under, over = at[i - 1], at[i]
+            at[i - 1], at[i] = oo, uo
+        else:
+            under, over = at[i], at[i - 1]
+            at[i - 1], at[i] = uo, oo
+        crossings.append((under, over, uo, oo, g > 0))
     closing = {edge: pos for pos, edge in enumerate(at)}
-    crossings = [[closing.get(e, e) for e in x] for x in crossings]
+    crossings = [tuple(closing.get(e, e) for e in x[:4]) + x[4:] for x in crossings]
     # Number the edges 1, 2, ... along the knot.
     after = {x[0]: x[2] for x in crossings} | {x[1]: x[3] for x in crossings}
     label, e = {}, 0
@@ -138,7 +167,11 @@ def positive_braid_quads(strands: int, word: list[int]) -> list[Quad]:
         e = after[e]
     if len(label) != len(after):
         raise ValueError("the braid closes to more than one component")
-    return [tuple(label[e] for e in x) for x in crossings]
+    quads = []
+    for ui, oi, uo, oo, positive in crossings:
+        ui, oi, uo, oo = label[ui], label[oi], label[uo], label[oo]
+        quads.append((ui, oi, uo, oo) if positive else (ui, oo, uo, oi))
+    return quads
 
 
 def connected_sum_quads(k1: list[Quad], k2: list[Quad]) -> list[Quad]:

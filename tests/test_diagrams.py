@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     braid_closure_quads,
+    braid_quads,
+    cable_braid,
     cable_braid_quads,
     connected_sum_quads,
     mirror,
     mirror_quads,
     pd_text,
     torus_2_pd,
+    torus_braid,
+    writhe,
 )
 from toroidal import diagrams
 from toroidal.diagrams import (
@@ -32,7 +36,15 @@ from toroidal.diagrams import (
 )
 from toroidal.knots import Sum, TABLE_KNOTS, Torus, alexander_of_knot, genus_of_knot
 from toroidal.laurent import ONE, ZERO, LaurentPoly, parse_poly
-from toroidal.towers import Tower, core_parallel, generic, genus_of_tower, tower_alexander, validate_tower
+from toroidal.towers import (
+    Tower,
+    core_parallel,
+    generic,
+    genus_of_tower,
+    tower_alexander,
+    validate_tower,
+    wind,
+)
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIGURE_EIGHT_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -349,6 +361,49 @@ def test_cable_towers_match_their_diagrams(p, q, m, k):
     assert str(genus_of_tower(t)) == f"exact:{g}"
     d = parse_pd(pd_text(cable_braid_quads(p, q, m, k)))
     assert d.n == m * m * (p - 1) * q + k * (m - 1) <= MAX_CROSSINGS
+    assert tower_alexander(t) == alexander_from_diagram(d)
+    assert genus_bounds(d) == (g, g)
+
+
+# Finite truncations of knotted_dyadic_solenoid: T(p, q) and then n
+# wind(2) stages.  A wind(2) stage over K is the cable C(2, 1)(K), whose
+# braid twists the first bundle 1 - 2 writhe times.  The chain knows only the
+# bound 2^n g, since the stages declare no genus; the diagram's polynomial
+# is D_T(p,q)(t^(2^n)), and half its breadth is that bound.
+TRUNCATIONS = [(2, q, 1) for q in range(3, 16, 2)] + [(3, 4, 1), (3, 5, 1), (4, 5, 1), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("p, q, n", TRUNCATIONS)
+def test_solenoid_truncations_match_their_diagrams(p, q, n):
+    g = 2**n * genus_of_knot(Torus(p, q)).lower
+    t = Tower("truncation", Torus(p, q), (wind(2),) * n, (core_parallel(),))
+    assert str(genus_of_tower(t)) == f"lower_bound:{g}"
+    word, strands = torus_braid(p, q), p
+    for _ in range(n):
+        word, strands = cable_braid(strands, word, 2, 1 - 2 * writhe(word)), 2 * strands
+    d = parse_pd(pd_text(braid_quads(strands, word)))
+    assert d.n <= MAX_CROSSINGS
+    assert alexander_from_diagram(d) == alexander_of_knot(Torus(p, q)).subst_power(2**n)
+    assert genus_bounds(d)[0] == g
+
+
+# Iterated cables C(2, n2)(C(2, n1)(T(p, q))), 53 and 85 crossings: two
+# generic stages, each with its cable pattern T(2, n) and the Schubert
+# genus 2 g + g(T(2, n)) declared.  Both braids are positive.
+@pytest.mark.parametrize("p, q, n1, n2", [(2, 3, 7, 27), (2, 5, 11, 43)])
+def test_iterated_cable_towers_match_their_diagrams(p, q, n1, n2):
+    g = genus_of_knot(Torus(p, q)).lower
+    word, strands, stages = torus_braid(p, q), p, []
+    for n in (n1, n2):
+        g_pattern = genus_of_knot(Torus(2, n)).lower
+        g = 2 * g + g_pattern
+        stages.append(generic(2, g_pattern, alexander_of_knot(Torus(2, n)), declared_genus=g))
+        word, strands = cable_braid(strands, word, 2, n - 2 * writhe(word)), 2 * strands
+    t = Tower("iterated cable", Torus(p, q), tuple(stages), (core_parallel(),))
+    assert validate_tower(t).ok
+    assert str(genus_of_tower(t)) == f"exact:{g}"
+    d = parse_pd(pd_text(braid_quads(strands, word)))
+    assert d.n <= MAX_CROSSINGS
     assert tower_alexander(t) == alexander_from_diagram(d)
     assert genus_bounds(d) == (g, g)
 

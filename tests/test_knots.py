@@ -124,6 +124,47 @@ def test_alexander_genus_limit():
             alexander_of_knot(knot)
 
 
+# Nested, unnormalized expressions: unknots, tori in either parameter order
+# (one past the genus limit), the grammar's tables and custom tables with or
+# without a genus and a polynomial, flagged prime or not.
+_CUSTOM_TABLES = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.none() | st.integers(0, 3),
+    st.none() | st.sampled_from([ONE, parse_poly("1 - t + t^2"), parse_poly("2 - 3*t")]),
+    st.booleans(),
+).filter(lambda a: not (a[3] and a[1] == 0)).map(lambda a: Table(*a))
+_LEAVES = st.one_of(
+    st.just(UNKNOT),
+    st.sampled_from([Torus(3, 2), Torus(2, 5), Torus(5, 3), Torus(4, 3), Torus(200003, 2)]),
+    st.sampled_from(list(TABLE_KNOTS.values())),
+    _CUSTOM_TABLES,
+)
+
+
+def _nested(depth):
+    if depth == 0:
+        return _LEAVES
+    return _LEAVES | st.lists(_nested(depth - 1), min_size=1, max_size=4).map(lambda ps: Sum(tuple(ps)))
+
+
+def _outcome(reader, k):
+    try:
+        return ("value", reader(k))
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+@given(_nested(4))
+def test_readers_agree_with_the_normal_form(k):
+    n = normalize(k)
+    assert normalize(n) == n
+    for reader in (genus_of_knot, prime_summands, alexander_of_knot):
+        assert _outcome(reader, k) == _outcome(reader, n)
+    parts = n.parts if isinstance(n, Sum) else (n,)
+    if all(not isinstance(part, Table) or TABLE_KNOTS.get(part.name) is part for part in parts):
+        assert parse_knot(str(n)) == n
+
+
 _PRIMES = st.sampled_from([TREFOIL, CINQUEFOIL, Torus(3, 4), Torus(3, 5), *TABLE_KNOTS.values()])
 _PATTERNS = st.one_of(
     st.just(UNKNOT),

@@ -407,6 +407,21 @@ def test_homeo_uncertified_table_core_is_not_knotted():
     assert build_report(tower(Table("y", genus=0), cycle=[wind(2)]))["unknotted"] is True
 
 
+def test_table_refuses_a_prime_flag_with_genus_zero_and_a_negative_genus():
+    # A prime knot is nontrivial, so a prime table of genus 0 would make a
+    # report call its set both unknotted and knotted_with_h1_not_z.
+    from toroidal.reports import build_report
+
+    with pytest.raises(ValueError, match="table knot 'y' is flagged prime but declares genus 0"):
+        Table("y", genus=0, prime=True)
+    with pytest.raises(ValueError, match="table knot 'z' declares negative genus -1"):
+        Table("z", genus=-1)
+    assert Table("y", genus=0).genus == 0
+    assert Table("x", prime=True).prime
+    with pytest.raises(ValueError, match="flagged prime"):
+        build_report(Tower("t", Table("y", genus=0, prime=True), (), (wind(2),)))
+
+
 def test_flow_verdicts():
     assert str(flow_attractor_verdict(CAT["dyadic_solenoid"])) == "not_realizable:h1_not_z"
     assert str(flow_attractor_verdict(CAT["whitehead"])) == "not_realizable:h1_not_z"
