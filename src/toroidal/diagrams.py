@@ -59,11 +59,10 @@ closures of torus braids take at most about 60 ms (T(2,99) 3 ms, T(11,10)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, value_type
 
 __all__ = [
     "MAX_CROSSINGS",
@@ -98,15 +97,11 @@ class InternalInconsistencyError(RuntimeError):
     """A provable invariant failed; indicates a bug, never bad input."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """Four edge labels counterclockwise from the incoming under-strand."""
+class Crossing(value_type("Crossing", "a b c d sign")):
+    """Four edge labels counterclockwise from the incoming under-strand, and
+    the crossing's sign."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    sign: int
+    __slots__ = ()
 
     @property
     def over_in(self) -> int:
@@ -117,16 +112,13 @@ class Crossing:
         return self.b if self.sign > 0 else self.d
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """A validated single-component diagram.
+class Diagram(value_type("Diagram", "crossings edge_arc")):
+    """A validated single-component diagram: a tuple of :class:`Crossing`
+    and a tuple of arc indices.  It keeps its polynomial when first read.
 
     ``edge_arc[e - 1]`` is the Wirtinger arc index of edge ``e``; there are
     exactly ``len(crossings)`` arcs for a nonempty diagram.
     """
-
-    crossings: tuple[Crossing, ...]
-    edge_arc: tuple[int, ...]
 
     @property
     def n(self) -> int:

@@ -25,9 +25,8 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly
+from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly, value_type
 
 __all__ = [
     "KnotExpr",
@@ -58,61 +57,60 @@ class NotDecomposable(ValueError):
     """A table knot without a prime flag cannot be split into summands."""
 
 
-@dataclass(frozen=True)
-class Unknot:
+class Unknot(value_type("Unknot", "")):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "unknot"
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(value_type("Torus", "p q")):
     """The torus knot T(p, q); parameters coprime and both >= 2."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 2 or self.q < 2:
-            raise ValueError(f"torus knot parameters must be >= 2, got ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"torus knot parameters must be coprime, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int) -> Torus:
+        if p < 2 or q < 2:
+            raise ValueError(f"torus knot parameters must be >= 2, got ({p}, {q})")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     def __str__(self) -> str:
         return f"torus({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class Sum:
-    """Connected sum of the parts."""
+class Sum(value_type("Sum", "parts")):
+    """Connected sum of the ``parts``, a nonempty tuple of knot expressions."""
 
-    parts: tuple["KnotExpr", ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, parts: tuple[KnotExpr, ...]) -> Sum:
+        if not parts:
             raise ValueError("connected sum needs at least one part")
+        return super().__new__(cls, parts)
 
     def __str__(self) -> str:
         return "sum(" + "; ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(value_type("Table", "name genus delta prime", (None, None, False))):
     """A knot injected with externally known invariants.
 
-    ``genus`` (never negative) and ``delta`` may be ``None`` when unknown;
-    ``prime`` asserts primality on trust, unverified, and refuses genus 0.
+    ``genus`` (never negative) and ``delta`` (a :class:`LaurentPoly`) may be
+    ``None`` when unknown; ``prime`` asserts primality on trust, unverified,
+    and refuses genus 0.
     """
 
-    name: str
-    genus: int | None = None
-    delta: LaurentPoly | None = None
-    prime: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus is not None and self.genus < 0:
-            raise ValueError(f"table knot {self.name!r} declares negative genus {self.genus}")
-        if self.prime and self.genus == 0:
-            raise ValueError(f"table knot {self.name!r} is flagged prime but declares genus 0")
+    def __new__(cls, name: str, genus: int | None = None, delta: LaurentPoly | None = None,
+                prime: bool = False) -> Table:
+        if genus is not None and genus < 0:
+            raise ValueError(f"table knot {name!r} declares negative genus {genus}")
+        if prime and genus == 0:
+            raise ValueError(f"table knot {name!r} is flagged prime but declares genus 0")
+        return super().__new__(cls, name, genus, delta, prime)
 
     def __str__(self) -> str:
         return f"table({self.name})"
@@ -123,21 +121,20 @@ KnotExpr = Unknot | Torus | Sum | Table
 UNKNOT = Unknot()
 
 
-@dataclass(frozen=True)
-class KnotGenus:
+class KnotGenus(value_type("KnotGenus", "lower upper")):
     """Either an exact genus (``lower == upper``) or a bound pair.
 
     ``upper`` is ``None`` when no finite upper bound is known.
     """
 
-    lower: int
-    upper: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower < 0:
+    def __new__(cls, lower: int, upper: int | None) -> KnotGenus:
+        if lower < 0:
             raise ValueError("genus lower bound must be nonnegative")
-        if self.upper is not None and self.upper < self.lower:
+        if upper is not None and upper < lower:
             raise ValueError("genus upper bound below lower bound")
+        return super().__new__(cls, lower, upper)
 
     @classmethod
     def exact(cls, g: int) -> KnotGenus:
@@ -156,15 +153,18 @@ class KnotGenus:
 
 def _summands(k: KnotExpr) -> list[Torus | Table]:
     """The nontrivial summands of ``k`` in order: sums flattened, unknots
-    dropped, torus parameters ordered p <= q."""
-    if isinstance(k, Torus):
-        return [k if k.p <= k.q else Torus(k.q, k.p)]
-    if isinstance(k, Table):
-        return [k]
+    dropped, torus parameters ordered p <= q.  The walk keeps an explicit
+    stack, so a sum of any nesting depth is read without recursion."""
     out: list[Torus | Table] = []
-    if not isinstance(k, Unknot):
-        for part in k.parts:
-            out += _summands(part)
+    stack = [k]
+    while stack:
+        k = stack.pop()
+        if isinstance(k, Torus):
+            out.append(k if k.p <= k.q else Torus(k.q, k.p))
+        elif isinstance(k, Table):
+            out.append(k)
+        elif not isinstance(k, Unknot):
+            stack += reversed(k.parts)
     return out
 
 
@@ -295,8 +295,8 @@ _TORUS_RE = re.compile(r"torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
 _SPACE = re.compile(r"\s*")
 
-# Parsing and normalizing recurse once per ``sum(`` level; the cap keeps deep
-# input a ValueError.  It costs nothing, since normalizing flattens sums.
+# Parsing recurses once per ``sum(`` level; the cap keeps deep input a
+# ValueError.  It costs nothing, since normalizing flattens sums.
 _MAX_NESTING = 100
 
 

@@ -24,9 +24,44 @@ with terms printed in ascending exponent order, e.g. ``1 - t + t^2`` or
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type"]
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
+    """A named-tuple base for an immutable value type: equal only to a value
+    of the same type with equal fields, always true, closed to assignment.
+    ``_replace`` builds its edited copy through the subclass's constructor.
+    A subclass sets ``__slots__ = ()`` unless it keeps derived facts in
+    ``cached_property``s, which write its ``__dict__`` directly.
+
+    The hash runs in Python so that hashing a deeply nested value raises
+    ``RecursionError`` rather than overflowing the C stack.
+    """
+
+    class Value(namedtuple(name, fields, defaults=defaults)):
+        __slots__ = ()
+        __setattr__ = __delattr__ = _frozen
+        _make = classmethod(lambda cls, fields: cls(*fields))
+
+        def __eq__(self, other: object) -> bool:
+            return type(other) is type(self) and tuple.__eq__(self, other)
+
+        def __ne__(self, other: object) -> bool:
+            return not self == other
+
+        def __hash__(self) -> int:
+            return tuple.__hash__(self)
+
+        def __bool__(self) -> bool:
+            return True
+
+    return Value
 
 
 # Most pairs of terms one computation multiplies: one product, or all the
@@ -47,20 +82,30 @@ def _term_pairs(spent: int, a: LaurentPoly, b: LaurentPoly) -> int:
     return total
 
 
-@dataclass(frozen=True, init=False)
 class LaurentPoly:
     """An element of Z[t, t^-1], built from a ``dict`` of exponent to
     coefficient; zero coefficients are dropped.  ``LaurentPoly()`` is zero.
+    ``terms`` holds the sorted ``(exponent, coefficient)`` pairs.
 
     >>> print(LaurentPoly({2: 1, 0: 1, 1: 0}))
     1 + t^2
     """
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         terms = sorted([(e, c) for e, c in coeffs.items() if c]) if coeffs else ()
         object.__setattr__(self, "terms", tuple(terms))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LaurentPoly and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __reduce__(self):
+        return LaurentPoly, (dict(self.terms),)
 
     # -- basic queries -------------------------------------------------
 

@@ -50,9 +50,9 @@ import enum
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from math import gcd
 from os import PathLike
 
 from .knots import (
@@ -68,7 +68,7 @@ from .knots import (
     prime_summands,
     satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, parse_poly
+from .laurent import ONE, LaurentPoly, parse_poly, value_type
 
 __all__ = [
     "StageKind",
@@ -133,14 +133,16 @@ _STAGE_DEFAULTS: dict[StageKind, dict] = {
     StageKind.GENERIC: {},
 }
 
-# Largest winding a stage may have.  The cohomology factors each winding by
-# trial division, whose cost grows with its square root: a prime just under
-# the limit takes about 0.15 s (Xeon, Python 3.11).
+# Largest winding a stage may have; the cohomology factors each distinct
+# winding once, in well under 10 ms at this size (see _prime_factors).
 _MAX_WINDING = 2**40
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(value_type(
+    "Stage",
+    "kind winding pattern_genus pattern_delta declared_genus concentric knot",
+    (None, None, None, False, None),
+)):
     """One nesting step: the data of the pair (outer torus, inner torus).
 
     ``pattern_genus`` / ``pattern_delta`` describe the inner torus seen
@@ -154,14 +156,6 @@ class Stage:
     enforced by the validator.  The pattern bound and the stage-contract
     faults depend on the stage alone; each is kept on it when first read.
     """
-
-    kind: StageKind
-    winding: int
-    pattern_genus: int | None = None
-    pattern_delta: LaurentPoly | None = None
-    declared_genus: int | None = None
-    concentric: bool = False
-    knot: KnotExpr | None = None
 
     @cached_property
     def _pattern_bound(self) -> tuple[int, bool]:
@@ -273,16 +267,10 @@ def generic(
     )
 
 
-@dataclass(frozen=True)
-class Tower:
-    """Eventually periodic defining sequence of a toroidal set.  Its walk,
-    cohomology profile and genus are kept on it when first read."""
-
-    name: str
-    initial: KnotExpr
-    prefix: tuple[Stage, ...] = ()
-    cycle: tuple[Stage, ...] = ()
-    initial_genus: int | None = None
+class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), (), None))):
+    """Eventually periodic defining sequence of a toroidal set: the initial
+    knot, an optional declared genus for it, and the prefix and cycle stages.
+    Its walk, cohomology profile and genus are kept on it when first read."""
 
     @cached_property
     def _walked(self) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
@@ -316,19 +304,15 @@ class ViolationKind(str, enum.Enum):
     MALFORMED_STAGE = "MalformedStage"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    where: str
-    message: str
+class Violation(value_type("Violation", "kind where message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.where}: {self.kind.value}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(value_type("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -459,12 +443,10 @@ class H1Class(str, enum.Enum):
     NOT_FINITELY_GENERATED = "not_finitely_generated"
 
 
-@dataclass(frozen=True)
-class SteinitzNumber:
+class SteinitzNumber(value_type("SteinitzNumber", "finite infinite", ((), ()))):
     """A supernatural number: primes with exponents in N plus primes at infinity."""
 
-    finite: tuple[tuple[int, int], ...] = ()
-    infinite: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = [(p, None) for p in self.infinite] + list(self.finite)
@@ -482,25 +464,81 @@ class SteinitzNumber:
         return " * ".join(rendered)
 
 
+# Windings are trial-divided by the integers below _TRIAL, which factors any
+# winding below its square completely.  A larger cofactor has no prime factor
+# below _TRIAL; it is tested by Miller-Rabin on the first 12 primes, which is
+# deterministic below 3 * 10^23 (Sorenson and Webster 2017), and split by
+# Pollard's rho with Brent's cycle search (Brent 1980).  A prime near the
+# winding limit takes about 0.3 ms, a product of two 20-bit primes about
+# 0.5 ms and at most about 5 ms (Xeon, Python 3.11).
+_TRIAL = 2**10
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _prime_factors(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p < _TRIAL and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL * _TRIAL or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
     return out
 
 
-@dataclass(frozen=True)
-class CohProfile:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an ``n`` with no prime factor up to 37."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite ``n``: Pollard's rho over
+    ``x -> x^2 + c`` with Brent's cycle search and one gcd per batch of up to
+    64 steps.  A batch that meets every factor at once gives ``n``; then the
+    next ``c`` is tried."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            q, k = 1, 0
+            while k < r and g == 1:
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 64
+            r *= 2
+        if g != n:
+            return g
+
+
+class CohProfile(value_type("CohProfile", "h1 steinitz")):
     """First Cech cohomology of the toroidal set, read off the windings."""
 
-    h1: H1Class
-    steinitz: SteinitzNumber | None
+    __slots__ = ()
 
 
 def cech_h1(tower: Tower) -> CohProfile:
@@ -574,11 +612,8 @@ _GENUS_JUSTIFICATION = {
 }
 
 
-@dataclass(frozen=True)
-class GenusResult:
-    kind: GenusKind
-    value: int | None
-    rule: GenusRule
+class GenusResult(value_type("GenusResult", "kind value rule")):
+    __slots__ = ()
 
     @classmethod
     def exact(cls, g: int, rule: GenusRule) -> GenusResult:
@@ -754,14 +789,10 @@ def reembed_unknotted(tower: Tower) -> Tower:
 # attractor verdicts
 
 
-@dataclass(frozen=True)
-class HomeoVerdict:
+class HomeoVerdict(value_type("HomeoVerdict", "obstructed rule justification note", (None,))):
     """Obstruction to realizability as an attractor of a homeomorphism."""
 
-    obstructed: bool
-    rule: str
-    justification: str
-    note: str | None = None
+    __slots__ = ()
 
     @property
     def tag(self) -> str:
@@ -771,14 +802,10 @@ class HomeoVerdict:
         return self.tag
 
 
-@dataclass(frozen=True)
-class FlowVerdict:
+class FlowVerdict(value_type("FlowVerdict", "realizable rule justification note", (None,))):
     """Realizability as an attractor of a flow."""
 
-    realizable: bool
-    rule: str
-    justification: str
-    note: str | None = None
+    __slots__ = ()
 
     @property
     def tag(self) -> str:
@@ -865,11 +892,10 @@ def flow_attractor_verdict(tower: Tower) -> FlowVerdict:
 # connected-sum inequivalence
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
-    verdict: str  # "inequivalent" | "inconclusive"
-    witness: str | None = None
-    justification: str = ""
+class DistinguishResult(value_type("DistinguishResult", "verdict witness justification", (None, ""))):
+    """``verdict`` is ``"inequivalent"`` or ``"inconclusive"``."""
+
+    __slots__ = ()
 
     @property
     def inequivalent(self) -> bool:
@@ -921,10 +947,8 @@ def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
 # the r invariant
 
 
-@dataclass(frozen=True)
-class RInvariant:
-    value: int
-    justification: str
+class RInvariant(value_type("RInvariant", "value justification")):
+    __slots__ = ()
 
 
 def r_of_toroidal(tower: Tower) -> RInvariant:
@@ -953,10 +977,8 @@ class RClassification(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RVerdict:
-    classification: RClassification
-    note: str | None = None
+class RVerdict(value_type("RVerdict", "classification note", (None,))):
+    __slots__ = ()
 
 
 def classify_by_r(

@@ -165,6 +165,24 @@ def test_readers_agree_with_the_normal_form(k):
         assert parse_knot(str(n)) == n
 
 
+def test_readers_walk_a_deep_sum_like_its_flat_form():
+    # 5,000 levels, five times the recursion limit: each level wraps the sum
+    # so far between an unknot and, every 1,000 levels, a torus knot.
+    deep, flat = Torus(3, 2), [Torus(3, 2)]
+    for level in range(5_000):
+        if level % 1_000:
+            deep = Sum((deep,))
+        else:
+            torus = Torus(2 * (level // 1_000) + 5, 2)
+            deep = Sum((UNKNOT, deep, torus))
+            flat.append(torus)
+    flat = Sum(tuple(flat))
+    assert normalize(deep) == normalize(flat) == Sum(tuple(Torus(2, q) for q in range(3, 15, 2)))
+    for reader in (genus_of_knot, alexander_of_knot, prime_summands):
+        assert reader(deep) == reader(flat)
+    assert genus_of_knot(deep) == KnotGenus.exact(1 + 2 + 3 + 4 + 5 + 6)
+
+
 _PRIMES = st.sampled_from([TREFOIL, CINQUEFOIL, Torus(3, 4), Torus(3, 5), *TABLE_KNOTS.values()])
 _PATTERNS = st.one_of(
     st.just(UNKNOT),

@@ -1,7 +1,11 @@
-import dataclasses
+import io
 import json
+import time
+from collections import Counter
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_valid_towers
 from toroidal.catalog import built_in_towers, mask_tower
@@ -34,6 +38,7 @@ from toroidal.towers import (
     tower_to_dict,
     validate_tower,
     wind,
+    _prime_factors,
     _unrolled,
 )
 
@@ -208,6 +213,70 @@ def test_cech_prefix_contributes_finitely():
     # windings before a zero stage never reach the limit
     t2 = tower(UNKNOT, prefix=[wind(5), generic(0, pattern_genus=0), wind(6)], cycle=[wind(2)])
     assert str(cech_h1(t2).steinitz) == "2^inf * 3"
+
+
+def _sieve(lo: int, hi: int) -> list[int]:
+    """The primes in ``[lo, hi)``, with ``lo >= 2``: the window is sieved by
+    the primes up to the square root of ``hi``, themselves sieved recursively."""
+    flags = bytearray([1]) * (hi - lo)
+    root = isqrt(hi - 1) + 1
+    for p in _sieve(2, root) if root > 2 else ():
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return [lo + i for i, flag in enumerate(flags) if flag]
+
+
+_PRIMES_BELOW_2_20 = _sieve(2, 2**20)
+
+
+def _trial_division(n: int) -> dict[int, int]:
+    out, p = Counter(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] += 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] += 1
+    return dict(out)
+
+
+def test_prime_factors_agree_with_trial_division():
+    for n in range(1, 10**4 + 1):
+        assert _prime_factors(n) == _trial_division(n), n
+
+
+@given(st.lists(st.sampled_from(_PRIMES_BELOW_2_20), min_size=1, max_size=12))
+@example([1031, 1031, 1031])
+@example([_PRIMES_BELOW_2_20[-1]] * 2)
+@example([_PRIMES_BELOW_2_20[-1], _PRIMES_BELOW_2_20[-2]])
+@example([2, 3, 5, 1021, 1031, 65537])
+def test_prime_factors_recover_a_product_of_sieved_primes(primes):
+    n, factors = 1, Counter()
+    for p in primes:
+        if n * p <= 2**40:
+            n *= p
+            factors[p] += 1
+    assert _prime_factors(n) == dict(factors)
+
+
+def test_a_thousand_large_prime_windings_exit_in_bounded_time(tmp_path):
+    from toroidal.cli import main
+
+    primes = _sieve(2**40 - 40_000, 2**40 + 1)[-1000:]
+    doc = {
+        "initial": "unknot",
+        "prefix": [{"kind": "wind", "w": p} for p in primes[1:]],
+        "cycle": [{"kind": "wind", "w": primes[0]}],
+    }
+    path = tmp_path / "large_windings.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert main(["--json", "tower", "report", str(path)], out, io.StringIO()) == 0
+    assert time.perf_counter() - start < 5
+    assert len(primes) == 1000 and primes[-1] < 2**40
+    assert json.loads(out.getvalue())["steinitz"] == " * ".join([f"{primes[0]}^inf", *map(str, primes[1:])])
 
 
 # -- genus --------------------------------------------------------------------
@@ -669,7 +738,7 @@ def test_walk_is_kept_per_value(monkeypatch):
     calls = {"_walk": 0, "_cohomology": 0, "_genus": 0}
     _count_calls(monkeypatch, towers, calls)
     # A replaced tower is a new value with a walk of its own.
-    tame = dataclasses.replace(walked, cycle=(core_parallel(),))
+    tame = walked._replace(cycle=(core_parallel(),))
     report = build_report(tame)
     assert calls == {"_walk": 1, "_cohomology": 1, "_genus": 1}
     assert report["genus"] == "exact:120" and report["h1"] == "z"
@@ -686,11 +755,11 @@ def test_walk_is_kept_per_value(monkeypatch):
     assert build_report(tame) == report
     assert calls == {"_walk": 1, "_cohomology": 1, "_genus": 1}
     # A copy is a new value: it derives each fact once more.
-    assert build_report(dataclasses.replace(tame)) == report
+    assert build_report(tame._replace()) == report
     assert calls == {"_walk": 2, "_cohomology": 2, "_genus": 2}
     assert is_unknotted_tower(reembedded)
     assert report == build_report(Tower(walked.name, UNKNOT, walked.prefix, (core_parallel(),)))
-    bad = dataclasses.replace(walked, cycle=(wind(2, declared_genus=0),))
+    bad = walked._replace(cycle=(wind(2, declared_genus=0),))
     assert not validate_tower(bad).ok
     assert validate_tower(walked).ok
 
