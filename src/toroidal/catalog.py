@@ -100,5 +100,5 @@ def resolve(name: str) -> Tower:
     towers = catalog()
     if name not in towers:
         known = ", ".join(sorted(towers))
-        raise KeyError(f"unknown catalog tower {name!r}; known: {known}, mask:<bits>")
+        raise ValueError(f"unknown catalog tower {name!r}; known: {known}, mask:<bits>")
     return towers[name]

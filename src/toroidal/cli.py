@@ -9,8 +9,9 @@ Subcommands::
     toroidal catalog report <name>
 
 ``--json`` switches any subcommand to JSON output.  Exit status: 0 on
-success, 1 on usage errors, 2 on validation errors (malformed expressions,
-PD codes or tower files, and towers rejected by the validator).
+success, 1 on usage errors, 2 on validation errors (unreadable files,
+malformed expressions, PD codes or tower files, and towers rejected by the
+validator).
 
 Each subcommand imports only the modules it runs, so a process that asks
 for a knot's genus never loads the tower or diagram engines.
@@ -158,12 +159,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "diagram":
             return _run_diagram(args, out)
         return _run_towers(args, out, err)
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        err.write(f"error: {message}\n")
         return 2
 
 

@@ -134,7 +134,10 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
 # to about 1.3 n^2 bits; if its rows fill in, it makes about n^3/3 products.
 MAX_CROSSINGS = 100
 
-_X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+_X = r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]"
+_X_RE = re.compile(_X)
+# The longest run of separators and crossings: it ends at the first bad token.
+_PD_BODY = re.compile(rf"(?:[\s,]+|{_X})*")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -151,20 +154,10 @@ def parse_pd(text: str) -> Diagram:
     if not stripped.endswith("]"):
         raise PDSyntaxError("expected closing ']'", len(text))
     body = stripped[len("PD["):-1].strip()
-    quads: list[tuple[int, int, int, int]] = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace() or body[pos] == ",":
-            pos += 1
-            continue
-        m = _X_RE.match(body, pos)
-        if not m:
-            raise PDSyntaxError(
-                f"expected X[a,b,c,d], got {body[pos:pos + 12]!r}",
-                text.index(body) + pos if body else pos,
-            )
-        quads.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
-        pos = m.end()
+    pos = _PD_BODY.match(body).end()
+    if pos < len(body):
+        raise PDSyntaxError(f"expected X[a,b,c,d], got {body[pos:pos + 12]!r}", text.index(body) + pos)
+    quads = [tuple(map(int, quad)) for quad in _X_RE.findall(body)]
     if len(quads) > MAX_CROSSINGS:
         raise PDValidationError(
             f"PD code has {len(quads)} crossings; the limit is {MAX_CROSSINGS}"

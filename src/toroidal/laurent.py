@@ -66,8 +66,10 @@ def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
 
 # Most pairs of terms one computation multiplies: one product, or all the
 # products of a fold (a sum's summands; a tower's prefix and the sums its
-# stages swallow) together.  Products are term by term, at about 0.19 us per
-# pair (Xeon, Python 3.11), so the limit is about 2 s.
+# stages swallow) together.  Products are term by term, at about 0.2 us per
+# pair of small coefficients (Xeon, Python 3.11): 1.2-2.1 s at the limit for
+# one product.  A fold's coefficients grow, and big-integer pairs cost more:
+# 10^4 swallowed trefoils reach the limit at 2,887-bit coefficients after 5-6 s.
 _MAX_TERM_PAIRS = 10**7
 
 
@@ -213,7 +215,13 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 T = LaurentPoly({1: 1})
 
-_TOKEN = re.compile(r"\d+|t(?:\^-?\d+)?|[+*-]")
+# One token each: INT, a power of t, or an operator.  _LEXED spans the
+# longest run of tokens and whitespace, so it ends at the first bad character.
+# _TERM takes one optional term and the whitespace around it.
+_TPOW = r"t(?:\^-?\d+)?"
+_TOKEN = re.compile(rf"\d+|{_TPOW}|[+*-]")
+_LEXED = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
+_TERM = re.compile(rf"\s*(?:(\d+)(?:\s*(\*)\s*({_TPOW})?)?|({_TPOW}))?\s*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -224,63 +232,34 @@ def parse_poly(text: str) -> LaurentPoly:
     >>> parse_poly("  -2*t^-3+7 ") == LaurentPoly({-3: -2, 0: 7})
     True
     """
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if not m:
-            raise ValueError(f"polynomial syntax error at position {i}: {text[i:i+10]!r}")
-        tokens.append((m.group(), i))
-        i = m.end()
-    if not tokens:
+    pos = _LEXED.match(text).end()
+    if pos < len(text):
+        raise ValueError(f"polynomial syntax error at position {pos}: {text[pos:pos + 10]!r}")
+    if not text.strip():
         raise ValueError("empty polynomial text")
-
     terms: dict[int, int] = {0: 0}
-    k = 0
-
-    def fail(where: int, why: str) -> ValueError:
-        return ValueError(f"polynomial syntax error at position {where}: {why}")
-
-    def take_term(sign: int) -> None:
-        nonlocal k
-        if k >= len(tokens):
-            raise fail(len(text), "expected a term")
-        tok, where = tokens[k]
-        if tok.isdigit():
-            coeff = sign * int(tok)
-            k += 1
-            if k < len(tokens) and tokens[k][0] == "*":
-                k += 1
-                if k >= len(tokens) or not tokens[k][0].startswith("t"):
-                    raise fail(tokens[k - 1][1], "expected a power of t after '*'")
-                exp = _exp_of(tokens[k][0])
-                k += 1
-            else:
-                exp = 0
-        elif tok.startswith("t"):
-            coeff = sign
-            exp = _exp_of(tok)
-            k += 1
-        else:
-            raise fail(where, f"unexpected {tok!r}")
+    pos = len(text) - len(text.lstrip())
+    while True:
+        # The first term's sign is optional; every later one has its sign.
+        sign = -1 if text[pos] == "-" else 1
+        if text[pos] in "+-":
+            pos += 1
+        m = _TERM.match(text, pos)
+        digits, tpow = m[1], m[3] or m[4]
+        if digits is None and tpow is None:
+            pos = m.end()
+            why = "expected a term" if pos == len(text) else f"unexpected {text[pos]!r}"
+            break
+        coeff = sign * int(digits) if digits else sign
+        if m[2] and not m[3]:
+            pos, why = m.start(2), "expected a power of t after '*'"
+            break
+        exp = 0 if tpow is None else 1 if tpow == "t" else int(tpow[2:])
         terms[exp] = terms.get(exp, 0) + coeff
-
-    sign = 1
-    if tokens[0][0] in "+-":
-        sign = -1 if tokens[0][0] == "-" else 1
-        k = 1
-    take_term(sign)
-    while k < len(tokens):
-        tok, where = tokens[k]
-        if tok not in "+-":
-            raise fail(where, f"expected '+' or '-', got {tok!r}")
-        k += 1
-        take_term(-1 if tok == "-" else 1)
-    return LaurentPoly(terms)
-
-
-def _exp_of(tok: str) -> int:
-    return 1 if tok == "t" else int(tok[2:])
+        pos = m.end()
+        if pos == len(text):
+            return LaurentPoly(terms)
+        if text[pos] not in "+-":
+            why = f"expected '+' or '-', got {_TOKEN.match(text, pos)[0]!r}"
+            break
+    raise ValueError(f"polynomial syntax error at position {pos}: {why}")

@@ -211,7 +211,7 @@ class Stage(value_type(
         if self.knot is not None and self.kind is not StageKind.SWALLOW:
             bad(ViolationKind.MALFORMED_STAGE, f"{self.kind.value} stage takes no knot; only swallow does")
 
-        if self.concentric and self.kind is not StageKind.CORE_PARALLEL:
+        if self.concentric and self.kind is StageKind.GENERIC:
             if self.winding != 1 or not trivial_pattern:
                 bad(
                     ViolationKind.CONCENTRICITY_CONTRACT,
@@ -269,8 +269,12 @@ def generic(
 
 class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), (), None))):
     """Eventually periodic defining sequence of a toroidal set: the initial
-    knot, an optional declared genus for it, and the prefix and cycle stages.
-    Its walk, cohomology profile and genus are kept on it when first read."""
+    knot in normal form, an optional declared genus for it, and the prefix
+    and cycle stages.  Its walk, cohomology profile and genus are kept on it
+    when first read."""
+
+    def __new__(cls, name, initial, prefix=(), cycle=(), initial_genus=None):
+        return super().__new__(cls, name, normalize(initial), prefix, cycle, initial_genus)
 
     @cached_property
     def _walked(self) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
@@ -841,8 +845,7 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
         # every winding at least one it never falls, so a positive bound on
         # it would have reached the cycle and given infinite genus above.
         # What is left is a prime summand whose genus the chain cannot see.
-        initial = normalize(tower.initial)
-        summands = initial.parts if isinstance(initial, Sum) else (initial,)
+        summands = tower.initial.parts if isinstance(tower.initial, Sum) else (tower.initial,)
         if all_windings_ge1 and any(isinstance(k, Table) and k.prime for k in summands):
             return HomeoVerdict(
                 True,
@@ -1129,4 +1132,6 @@ def load_tower(path: str | PathLike[str]) -> Tower:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from exc
     return tower_from_dict(obj)

@@ -495,6 +495,34 @@ _PD_TEXT = (
     | st.text(alphabet="PDX[], 0123456789", max_size=40)
 )
 _FILE = "<file>"
+# File contents that no text grammar reads: a directory in place of a file,
+# bytes that are not UTF-8, and JSON nested deeper than the decoder goes.
+_DIRECTORY = object()
+_NOT_UTF8 = b"\xff\xfePD[X[1,4,2,5]]"
+_DEEP_JSON = "[" * 10**5
+_DEEP_NAME = '{"initial": "unknot", "name": %s, "cycle": []}' % ("[" * 995 + "]" * 995)
+_HOSTILE_FILES = [
+    (["tower", "report"], _DIRECTORY, "Is a directory"),
+    (["diagram", "genus"], _DIRECTORY, "Is a directory"),
+    (["tower", "report"], _NOT_UTF8, "can't decode"),
+    (["diagram", "alexander"], _NOT_UTF8, "can't decode"),
+    (["tower", "report"], _DEEP_JSON, "nested too deeply"),
+    (["tower", "report"], _DEEP_NAME, "nested too deeply"),
+]
+
+
+def _input_file(directory: Path, content) -> str:
+    """Write ``content`` (text, bytes or ``_DIRECTORY``) to a file argument."""
+    path = directory / "input"
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
 _CLI_CASE = st.one_of(
     st.tuples(st.sampled_from(["genus", "alexander"]), _KNOT_TEXT).map(
         lambda c: (["knot", c[0], c[1]], None)
@@ -509,6 +537,7 @@ _CLI_CASE = st.one_of(
     ),
     st.lists(st.sampled_from(["knot", "tower", "report", "catalog", "list", "genus", "-x", "--json"]),
              max_size=4).map(lambda argv: (argv, None)),
+    st.sampled_from(_HOSTILE_FILES).map(lambda c: (c[0] + [_FILE], c[1])),
 )
 
 
@@ -516,14 +545,27 @@ _CLI_CASE = st.one_of(
 @given(case=_CLI_CASE, as_json=st.booleans())
 @example(case=(["tower", "report", _FILE], json.dumps(fold_tower(12, 3, "1 - t + t^2", 1))), as_json=True)
 @example(case=(["knot", "alexander", "sum(torus(2,100001); torus(2,100001))"], None), as_json=False)
+@example(case=(["diagram", "genus", _FILE], _DIRECTORY), as_json=False)
+@example(case=(["tower", "report", _FILE], _NOT_UTF8), as_json=False)
+@example(case=(["tower", "report", _FILE], _DEEP_JSON), as_json=True)
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
-    argv, text = case
-    if text is not None:
-        path = tmp_path_factory.mktemp("fuzz") / "input"
-        path.write_text(text, encoding="utf-8")
-        argv = [str(path) if arg == _FILE else arg for arg in argv]
+    argv, content = case
+    if content is not None:
+        path = _input_file(tmp_path_factory.mktemp("fuzz"), content)
+        argv = [path if arg == _FILE else arg for arg in argv]
     code, out, err = run((["--json"] if as_json else []) + argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     # A failure always says why; a success says nothing on stderr.
     assert (code == 0) == (err == "")
+
+
+@pytest.mark.parametrize(
+    "command, content, problem",
+    _HOSTILE_FILES,
+    ids=["tower-dir", "diagram-dir", "tower-bytes", "diagram-bytes", "deep-json", "deep-name"],
+)
+def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, problem):
+    code, out, err = run(command + [_input_file(tmp_path, content)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,13 +117,37 @@ def test_parse_is_whitespace_insensitive():
     assert parse_pd(spaced) == parse_pd(TREFOIL_PD)
 
 
+# One row per raise site of the PD grammar: the text, the position and the
+# message after it.
+PD_SYNTAX_ERRORS = [
+    ("QD[X[1,2,3,4]]", 0, "expected 'PD['"),
+    ("", 0, "expected 'PD['"),
+    ("PD[X[1,2,3,4", 12, "expected closing ']'"),
+    ("PD[X[1,4,2,5], \n", 16, "expected closing ']'"),
+    ("PD[X[1,2,3]]", 3, "expected X[a,b,c,d], got 'X[1,2,3]'"),
+    ("PD[X[1,2,3,4]", 3, "expected X[a,b,c,d], got 'X[1,2,3,4'"),
+    (" PD[ X[1,4,2,5]; X[3,6,4,1]]", 15, "expected X[a,b,c,d], got '; X[3,6,4,1]'"),
+]
+
+
 def test_syntax_errors_carry_positions():
-    with pytest.raises(PDSyntaxError, match="position"):
-        parse_pd("PD[X[1,2,3]]")
+    for text, position, message in PD_SYNTAX_ERRORS:
+        with pytest.raises(PDSyntaxError) as exc:
+            parse_pd(text)
+        assert exc.value.position == position, text
+        assert str(exc.value) == f"PD syntax error at position {position}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" " * (10**6 - 1) + "@", "PD[" + ", " * 499_998 + "@]"],
+    ids=["spaces", "separators"],
+)
+def test_parse_refuses_long_input_in_linear_time(text):
+    start = time.perf_counter()
     with pytest.raises(PDSyntaxError):
-        parse_pd("QD[X[1,2,3,4]]")
-    with pytest.raises(PDSyntaxError):
-        parse_pd("PD[X[1,2,3,4]")
+        parse_pd(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validation_errors():

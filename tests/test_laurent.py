@@ -1,4 +1,5 @@
 import doctest
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,15 +97,44 @@ def test_printing():
     assert str(LaurentPoly({-3: -1})) == "-t^-3"
 
 
+# One row per raise site of parse_poly: the text and its exact message.
+POLY_SYNTAX_ERRORS = [
+    ("1 + @", "polynomial syntax error at position 4: '@'"),
+    ("1 + t^x", "polynomial syntax error at position 5: '^x'"),
+    ("", "empty polynomial text"),
+    (" \t ", "empty polynomial text"),
+    ("1 - t + ", "polynomial syntax error at position 8: expected a term"),
+    ("-", "polynomial syntax error at position 1: expected a term"),
+    ("3*4", "polynomial syntax error at position 1: expected a power of t after '*'"),
+    ("2 *", "polynomial syntax error at position 2: expected a power of t after '*'"),
+    ("1 + * t", "polynomial syntax error at position 4: unexpected '*'"),
+    ("--t", "polynomial syntax error at position 1: unexpected '-'"),
+    ("t t", "polynomial syntax error at position 2: expected '+' or '-', got 't'"),
+    ("2 35", "polynomial syntax error at position 2: expected '+' or '-', got '35'"),
+    ("t*t", "polynomial syntax error at position 1: expected '+' or '-', got '*'"),
+]
+
+
 def test_parse_errors_report_position():
+    for text, message in POLY_SYNTAX_ERRORS:
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text)
+        assert str(exc.value) == message, text
+
+
+# 10^6 characters each: lexed to the end, or walked term by term.  A
+# backtracking regex or a copy of the rest of the text per term would take
+# far longer than the bound.
+@pytest.mark.parametrize(
+    "text",
+    [" " * (10**6 - 1) + "@", "+" * 300_000 + " " * 700_000, "t+" * 100_000 + " " * 800_000],
+    ids=["spaces", "operators", "terms"],
+)
+def test_parse_refuses_long_input_in_linear_time(text):
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="position"):
-        parse_poly("1 + @")
-    with pytest.raises(ValueError, match="position"):
-        parse_poly("3*4")
-    with pytest.raises(ValueError):
-        parse_poly("")
-    with pytest.raises(ValueError):
-        parse_poly("t t")
+        parse_poly(text)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(polys)

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import random_valid_towers
 from toroidal.catalog import built_in_towers, mask_tower
-from toroidal.knots import TABLE_KNOTS, Table, Torus, UNKNOT, alexander_of_knot
+from toroidal.knots import TABLE_KNOTS, Sum, Table, Torus, UNKNOT, alexander_of_knot
 from toroidal.laurent import ONE, ZERO, parse_poly
 from toroidal.towers import (
     GenusKind,
@@ -587,6 +587,19 @@ def test_tower_json_round_trip():
         assert tower_to_dict(again) == tower_to_dict(t)
 
 
+def test_tower_keeps_its_initial_knot_in_normal_form():
+    cycle = (core_parallel(),)
+    assert Tower("t", Torus(3, 2), cycle=cycle) == Tower("t", Torus(2, 3), cycle=cycle)
+    # A deep Python-API sum is flattened on construction, so the tower
+    # prints and round-trips like its flat form.
+    deep = Torus(2, 3)
+    for _ in range(3000):
+        deep = Sum((UNKNOT, deep))
+    t = Tower("t", deep, cycle=cycle)
+    assert t.initial == Torus(2, 3)
+    assert tower_from_dict(tower_to_dict(t)) == t
+
+
 def test_tower_json_errors():
     with pytest.raises(ValueError):
         tower_from_dict({"cycle": []})  # no initial
@@ -618,10 +631,16 @@ def test_tower_json_errors():
             tower_from_dict({"initial": "unknot", "cycle": [stage]})
     with pytest.raises(ValueError, match="'initial_genus' must be"):
         tower_from_dict({"initial": "unknot", "initial_genus": True, "cycle": [{"kind": "core_parallel"}]})
-    # The kind contracts are the validator's, applied at load.
-    with pytest.raises(InvalidTowerError) as exc:
-        tower_from_dict({"initial": "unknot", "cycle": [{"kind": "wind", "w": 1, "concentric": True}]})
-    assert [v.kind for v in exc.value.report.violations] == [ViolationKind.CONCENTRICITY_CONTRACT]
+    # The kind contracts are the validator's, applied at load; a concentric
+    # wind or swallow stage breaks its kind's contract once.
+    for stage in [
+        {"kind": "wind", "w": 1, "concentric": True},
+        {"kind": "wind", "w": 2, "concentric": True},
+        {"kind": "swallow", "knot": "torus(2,3)", "concentric": True},
+    ]:
+        with pytest.raises(InvalidTowerError) as exc:
+            tower_from_dict({"initial": "unknot", "cycle": [stage]})
+        assert [v.kind for v in exc.value.report.violations] == [ViolationKind.CONCENTRICITY_CONTRACT]
     # Only a swallow stage takes a knot; on any other kind it is refused,
     # not dropped.
     for stage in [
