@@ -59,10 +59,9 @@ closures of torus braids take at most about 60 ms (T(2,99) 3 ms, T(11,10)
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from math import isqrt
 
-from .laurent import ONE, LaurentPoly, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, value_type
 
 __all__ = [
     "MAX_CROSSINGS",
@@ -124,7 +123,7 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
     def n(self) -> int:
         return len(self.crossings)
 
-    @cached_property
+    @kept_fact
     def _alexander(self) -> LaurentPoly:
         # Read by alexander_from_diagram and genus_bounds; lives with the diagram.
         return _alexander_minor(self, self.n - 1, self.n - 1) if self.n else ONE
@@ -153,10 +152,13 @@ def parse_pd(text: str) -> Diagram:
         raise PDSyntaxError("expected 'PD['", 0)
     if not stripped.endswith("]"):
         raise PDSyntaxError("expected closing ']'", len(text))
-    body = stripped[len("PD["):-1].strip()
+    inner = stripped[len("PD["):-1]
+    body = inner.strip()
     pos = _PD_BODY.match(body).end()
     if pos < len(body):
-        raise PDSyntaxError(f"expected X[a,b,c,d], got {body[pos:pos + 12]!r}", text.index(body) + pos)
+        # The body starts after the text's and the bracket's leading whitespace.
+        start = len(text) - len(text.lstrip()) + len("PD[") + len(inner) - len(inner.lstrip())
+        raise PDSyntaxError(f"expected X[a,b,c,d], got {body[pos:pos + 12]!r}", start + pos)
     quads = [tuple(map(int, quad)) for quad in _X_RE.findall(body)]
     if len(quads) > MAX_CROSSINGS:
         raise PDValidationError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact"]
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -38,7 +38,7 @@ def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
     of the same type with equal fields, always true, closed to assignment.
     ``_replace`` builds its edited copy through the subclass's constructor.
     A subclass sets ``__slots__ = ()`` unless it keeps derived facts in
-    ``cached_property``s, which write its ``__dict__`` directly.
+    :class:`kept_fact`s, which write its ``__dict__`` directly.
 
     The hash runs in Python so that hashing a deeply nested value raises
     ``RecursionError`` rather than overflowing the C stack.
@@ -62,6 +62,28 @@ def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
             return True
 
     return Value
+
+
+class kept_fact:
+    """A derived fact of an immutable value, computed on first read and kept
+    in the instance's ``__dict__``, which later reads find before this
+    descriptor.  A fact that raises keeps nothing, so the next read raises
+    again.  No lock is taken: a fact is pure, so two threads that race on a
+    first read compute the same value and one of them keeps it.
+    """
+
+    def __init__(self, fact):
+        self.fact = fact
+        self.__doc__ = fact.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.fact(instance)
+        return value
 
 
 # Most pairs of terms one computation multiplies: one product, or all the

@@ -35,13 +35,13 @@ so the inner core's knot type equals the pattern's.  Every other stage
 only yields the inequality above.
 
 Each fact is computed once, when first read, and kept on the frozen value
-it derives from: a :class:`Stage` keeps its pattern bound and its contract
-faults, and a :class:`Tower` keeps its one walk of the unrolled tower (the
-validation report and the chain states), its cohomology profile and its
-genus.  Reading the states of an invalid tower raises
-:class:`InvalidTowerError`.  The public classifiers are the only readers of
-these facts, and a report calls them, so each fact is derived once per
-tower value.
+it derives from by :class:`~toroidal.laurent.kept_fact`, which takes no
+lock: a :class:`Stage` keeps its pattern bound and its contract faults, and
+a :class:`Tower` keeps its one walk of the unrolled tower (the validation
+report and the chain states), its cohomology profile and its genus.  Reading
+the states of an invalid tower raises :class:`InvalidTowerError` and keeps
+nothing.  The public classifiers are the only readers of these facts, and a
+report calls them, so each fact is derived once per tower value.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import enum
 import json
 from collections import Counter
 from collections.abc import Iterable
-from functools import cached_property
 from itertools import chain, count
 from math import gcd
 from os import PathLike
@@ -68,7 +67,7 @@ from .knots import (
     prime_summands,
     satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, parse_poly, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, value_type
 
 __all__ = [
     "StageKind",
@@ -124,13 +123,19 @@ class StageKind(str, enum.Enum):
     GENERIC = "generic"
 
 
+# The members, bound once: reading a plain global is several times cheaper
+# than reading an Enum member, and the stage path reads them for every stage.
+_CORE_PARALLEL, _SWALLOW, _WIND, _GENERIC = StageKind
+# The kinds by their JSON names, for the loader.
+_STAGE_KINDS = {kind.value: kind for kind in StageKind}
+
 # Each kind's field defaults, read by the stage constructors and the JSON
 # loader; ``wind`` and ``generic`` have no default winding.
 _STAGE_DEFAULTS: dict[StageKind, dict] = {
-    StageKind.CORE_PARALLEL: {"winding": 1, "pattern_genus": 0, "pattern_delta": ONE, "concentric": True},
-    StageKind.SWALLOW: {"winding": 1},
-    StageKind.WIND: {"pattern_genus": 0, "pattern_delta": ONE},
-    StageKind.GENERIC: {},
+    _CORE_PARALLEL: {"winding": 1, "pattern_genus": 0, "pattern_delta": ONE, "concentric": True},
+    _SWALLOW: {"winding": 1},
+    _WIND: {"pattern_genus": 0, "pattern_delta": ONE},
+    _GENERIC: {},
 }
 
 # Largest winding a stage may have; the cohomology factors each distinct
@@ -157,17 +162,17 @@ class Stage(value_type(
     faults depend on the stage alone; each is kept on it when first read.
     """
 
-    @cached_property
+    @kept_fact
     def _pattern_bound(self) -> tuple[int, bool]:
         """Lower bound for the pattern genus and whether it is exact."""
-        if self.kind is StageKind.SWALLOW and self.knot is not None:
+        if self.kind is _SWALLOW and self.knot is not None:
             g = genus_of_knot(self.knot)
             return (g.lower, g.is_exact)
         if self.pattern_genus is not None:
             return (self.pattern_genus, True)
         return (0, False)
 
-    @cached_property
+    @kept_fact
     def _faults(self) -> tuple[tuple[ViolationKind, str], ...]:
         """The stage-contract faults, as ``(kind, message)`` pairs."""
         out: list[tuple[ViolationKind, str]] = []
@@ -184,18 +189,18 @@ class Stage(value_type(
         if self.declared_genus is not None and self.declared_genus < 0:
             bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {self.declared_genus}")
 
-        if self.concentric and self.kind in (StageKind.SWALLOW, StageKind.WIND):
+        if self.concentric and self.kind in (_SWALLOW, _WIND):
             bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{self.kind.value} stage cannot be concentric")
 
         trivial_pattern = self._pattern_bound == (0, True) and (
             self.pattern_delta is None or self.pattern_delta.is_unit()
         )
-        if self.kind is StageKind.CORE_PARALLEL:
+        if self.kind is _CORE_PARALLEL:
             if self.winding != 1 or not trivial_pattern:
                 bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
             if not self.concentric:
                 bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must be concentric")
-        elif self.kind is StageKind.SWALLOW:
+        elif self.kind is _SWALLOW:
             if self.winding != 1:
                 bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
             if self.knot is None:
@@ -205,13 +210,13 @@ class Stage(value_type(
                     ViolationKind.MALFORMED_STAGE,
                     "swallow stage takes its pattern from its knot, not from pattern fields",
                 )
-        elif self.kind is StageKind.WIND:
+        elif self.kind is _WIND:
             if not trivial_pattern:
                 bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
-        if self.knot is not None and self.kind is not StageKind.SWALLOW:
+        if self.knot is not None and self.kind is not _SWALLOW:
             bad(ViolationKind.MALFORMED_STAGE, f"{self.kind.value} stage takes no knot; only swallow does")
 
-        if self.concentric and self.kind is StageKind.GENERIC:
+        if self.concentric and self.kind is _GENERIC:
             if self.winding != 1 or not trivial_pattern:
                 bad(
                     ViolationKind.CONCENTRICITY_CONTRACT,
@@ -238,7 +243,7 @@ class Stage(value_type(
 
 def core_parallel() -> Stage:
     """A concentric parallel copy: winding one, trivial pattern."""
-    return Stage(StageKind.CORE_PARALLEL, **_STAGE_DEFAULTS[StageKind.CORE_PARALLEL])
+    return Stage(_CORE_PARALLEL, **_STAGE_DEFAULTS[_CORE_PARALLEL])
 
 
 def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
@@ -246,13 +251,13 @@ def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
 
     The stage stores only the knot; its invariants are computed when read.
     """
-    defaults = _STAGE_DEFAULTS[StageKind.SWALLOW]
-    return Stage(StageKind.SWALLOW, **defaults, declared_genus=declared_genus, knot=normalize(knot))
+    defaults = _STAGE_DEFAULTS[_SWALLOW]
+    return Stage(_SWALLOW, **defaults, declared_genus=declared_genus, knot=normalize(knot))
 
 
 def wind(w: int, declared_genus: int | None = None) -> Stage:
     """Wind ``w`` times with a trivial pattern, the solenoid stage."""
-    return Stage(StageKind.WIND, w, **_STAGE_DEFAULTS[StageKind.WIND], declared_genus=declared_genus)
+    return Stage(_WIND, w, **_STAGE_DEFAULTS[_WIND], declared_genus=declared_genus)
 
 
 def generic(
@@ -262,9 +267,7 @@ def generic(
     declared_genus: int | None = None,
     concentric: bool = False,
 ) -> Stage:
-    return Stage(
-        StageKind.GENERIC, w, pattern_genus, pattern_delta, declared_genus, concentric
-    )
+    return Stage(_GENERIC, w, pattern_genus, pattern_delta, declared_genus, concentric)
 
 
 class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), (), None))):
@@ -276,11 +279,11 @@ class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), 
     def __new__(cls, name, initial, prefix=(), cycle=(), initial_genus=None):
         return super().__new__(cls, name, normalize(initial), prefix, cycle, initial_genus)
 
-    @cached_property
+    @kept_fact
     def _walked(self) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
         return _walk(self)
 
-    @cached_property
+    @kept_fact
     def _states(self) -> tuple[tuple[int, bool], ...]:
         """The ``(bound, exact)`` chain states of a valid tower; ``InvalidTowerError`` otherwise."""
         report, states = self._walked
@@ -288,12 +291,12 @@ class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), 
             raise InvalidTowerError(report)
         return states
 
-    @cached_property
+    @kept_fact
     def _coh(self) -> CohProfile:
         self._states  # refuse an invalid tower
         return _cohomology(self)
 
-    @cached_property
+    @kept_fact
     def _genus_result(self) -> GenusResult:
         return _genus(self, self._states)
 
@@ -357,7 +360,7 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
         out = stage._pattern_bound
     elif stage.concentric and not stage._faults:
         out = state
-    elif stage.kind is StageKind.SWALLOW:
+    elif stage.kind is _SWALLOW:
         out = (bound + plb, exact and pexact)
     else:
         out = (w * bound + plb, False)
@@ -713,7 +716,7 @@ def is_unknotted_tower(tower: Tower) -> bool:
 
 def _stage_pattern(stage: Stage) -> KnotExpr | LaurentPoly:
     """The stage's pattern: the swallowed knot, or the pattern polynomial."""
-    if stage.kind is StageKind.SWALLOW and stage.knot is not None:
+    if stage.kind is _SWALLOW and stage.knot is not None:
         return stage.knot
     if stage.pattern_delta is not None:
         return stage.pattern_delta
@@ -773,7 +776,7 @@ def reembed_unknotted(tower: Tower) -> Tower:
     split = tower._states.index((g.value, True))
 
     def forced(stage: Stage) -> Stage:
-        if stage.kind is StageKind.CORE_PARALLEL:
+        if stage.kind is _CORE_PARALLEL:
             return core_parallel()
         return generic(stage.winding, 0, ONE, None, stage.concentric)
 
@@ -913,7 +916,7 @@ def _summand_multiset(tower: Tower) -> dict[KnotExpr, int | str]:
     omega: Counter[KnotExpr] = Counter()
     for key, stages, summands in (("prefix", tower.prefix, finite), ("cycle", tower.cycle, omega)):
         for i, stage in enumerate(stages):
-            if stage.kind is not StageKind.SWALLOW:
+            if stage.kind is not _SWALLOW:
                 raise PreconditionError("NotConnectedSumShape", f"{key}[{i}] is not a swallow stage")
             summands.update(prime_summands(stage.knot))  # a valid swallow stage carries its knot
     finite.update(prime_summands(tower.initial))
@@ -1016,6 +1019,19 @@ def classify_by_r(
 
 
 _JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+_STAGE_FIELDS = frozenset(
+    {"kind", "w", "knot", "pattern_genus", "pattern_delta", "declared_genus", "concentric"}
+)
+_TOWER_FIELDS = frozenset({"name", "initial", "initial_genus", "prefix", "cycle", "schema_version"})
+# Longest ``repr`` of a bad value that a message quotes in full.
+_MAX_QUOTED = 60
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, cut and marked as cut when longer than ``_MAX_QUOTED``,
+    so that a message about a large value stays one short line."""
+    text = repr(value)
+    return text if len(text) <= _MAX_QUOTED else f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
 
 
 def _field(obj: dict, key: str, where: str, kind: type, default=...):
@@ -1029,7 +1045,7 @@ def _field(obj: dict, key: str, where: str, kind: type, default=...):
     value = obj[key]
     if type(value) is kind or (value is None and default is None):
         return value
-    raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {_quoted(value)}")
 
 
 def _stage_from_dict(obj: dict, where: str) -> Stage:
@@ -1041,17 +1057,16 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: stage must be an object")
+    name = obj.get("kind", "generic")
     try:
-        kind = StageKind(obj.get("kind", "generic"))
-    except ValueError:
-        raise ValueError(f"{where}: unknown stage kind {obj['kind']!r}") from None
-    unknown = set(obj) - {
-        "kind", "w", "knot", "pattern_genus", "pattern_delta", "declared_genus", "concentric",
-    }
+        kind = _STAGE_KINDS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"{where}: unknown stage kind {_quoted(name)}") from None
+    unknown = obj.keys() - _STAGE_FIELDS
     if unknown:
-        raise ValueError(f"{where}: unknown stage fields {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(unknown))}")
 
-    knot = _field(obj, "knot", where, str, ... if kind is StageKind.SWALLOW else None)
+    knot = _field(obj, "knot", where, str, ... if kind is _SWALLOW else None)
     knot = None if knot is None else parse_knot(knot)
     defaults = _STAGE_DEFAULTS[kind]
     winding = _field(obj, "w", where, int, defaults.get("winding", ...))
@@ -1065,10 +1080,8 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
         _field(obj, "concentric", where, bool, defaults.get("concentric", False)),
         knot,
     )
-    if kind is not StageKind.GENERIC:
-        violations = _stage_contract_violations(stage, where)
-        if violations:
-            raise InvalidTowerError(ValidationReport(tuple(violations)))
+    if kind is not _GENERIC and stage._faults:
+        raise InvalidTowerError(ValidationReport(tuple(_stage_contract_violations(stage, where))))
     return stage
 
 
@@ -1090,9 +1103,9 @@ def tower_from_dict(obj: dict) -> Tower:
     """Build a tower from the documented JSON object (schema version 1)."""
     if not isinstance(obj, dict):
         raise ValueError("tower description must be a JSON object")
-    unknown = set(obj) - {"name", "initial", "initial_genus", "prefix", "cycle", "schema_version"}
+    unknown = obj.keys() - _TOWER_FIELDS
     if unknown:
-        raise ValueError(f"unknown tower fields {sorted(unknown)}")
+        raise ValueError(f"unknown tower fields {_quoted(sorted(unknown))}")
     if _field(obj, "schema_version", "tower", int, 1) != 1:
         raise ValueError(f"unsupported schema_version {obj['schema_version']!r}")
     initial = parse_knot(_field(obj, "initial", "tower", str))
@@ -1132,6 +1145,8 @@ def load_tower(path: str | PathLike[str]) -> Tower:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply to read") from exc
     return tower_from_dict(obj)

@@ -1,16 +1,19 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import pd_text, torus_2_pd
+from toroidal.catalog import CATALOG_DIR_ENV
 from toroidal.cli import main
 from toroidal.laurent import LaurentPoly
 
@@ -370,6 +373,22 @@ def test_catalog_dir_override(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["genus"] == "exact:0"
 
 
+def test_an_unreadable_catalog_file_fails_every_catalog_command(tmp_path, monkeypatch):
+    # Files in the catalog directory override built-ins, so the catalog is
+    # read whole before any name is resolved; a mask name reads no file.
+    (tmp_path / "good.json").write_text(json.dumps({"initial": "unknot", "cycle": [{"kind": "core_parallel"}]}))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_NOT_UTF8_JSON)
+    monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
+    for argv in (["catalog", "list"], ["catalog", "report", "whitehead"],
+                 ["catalog", "report", "good"], ["catalog", "report", "nope"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+    assert run(["catalog", "report", "mask:1"])[0] == 0
+
+
 def test_invalid_catalog_file_is_an_invalid_tower(tmp_path, monkeypatch):
     doc = {"initial": "unknot", "cycle": [{"kind": "wind", "w": -3}]}
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -501,6 +520,8 @@ _DIRECTORY = object()
 _NOT_UTF8 = b"\xff\xfePD[X[1,4,2,5]]"
 _DEEP_JSON = "[" * 10**5
 _DEEP_NAME = '{"initial": "unknot", "name": %s, "cycle": []}' % ("[" * 995 + "]" * 995)
+_LONG_NAME = json.dumps({"initial": "unknot", "name": list(range(200_000)), "cycle": []})
+_NOT_UTF8_JSON = b"\xff{}"
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -509,6 +530,28 @@ _HOSTILE_FILES = [
     (["tower", "report"], _DEEP_JSON, "nested too deeply"),
     (["tower", "report"], _DEEP_NAME, "nested too deeply"),
 ]
+# Inputs whose message once named the wrong thing or had no bound: a long
+# bad value, a PD body that repeats its own prefix, and a catalog file that
+# is not UTF-8.  A catalog command finds its file in the catalog directory.
+_BAD_VALUES = [
+    (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
+    (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
+    (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "bad.json: not UTF-8 text"),
+]
+
+
+def _run_with_input(directory: Path | None, argv: list, content) -> tuple[int, str, str]:
+    """Run ``argv`` with ``content`` in its ``_FILE`` argument or, for a
+    catalog command, in a file of the catalog directory."""
+    env = {}
+    if _FILE in argv:
+        path = _input_file(directory, content)
+        argv = [path if arg == _FILE else arg for arg in argv]
+    elif content is not None:
+        (directory / "bad.json").write_bytes(content)
+        env[CATALOG_DIR_ENV] = str(directory)
+    with mock.patch.dict(os.environ, env):
+        return run(argv)
 
 
 def _input_file(directory: Path, content) -> str:
@@ -548,12 +591,13 @@ _CLI_CASE = st.one_of(
 @example(case=(["diagram", "genus", _FILE], _DIRECTORY), as_json=False)
 @example(case=(["tower", "report", _FILE], _NOT_UTF8), as_json=False)
 @example(case=(["tower", "report", _FILE], _DEEP_JSON), as_json=True)
+@example(case=_BAD_VALUES[0][:2], as_json=True)
+@example(case=_BAD_VALUES[1][:2], as_json=False)
+@example(case=_BAD_VALUES[2][:2], as_json=False)
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
     argv, content = case
-    if content is not None:
-        path = _input_file(tmp_path_factory.mktemp("fuzz"), content)
-        argv = [path if arg == _FILE else arg for arg in argv]
-    code, out, err = run((["--json"] if as_json else []) + argv)
+    directory = None if content is None else tmp_path_factory.mktemp("fuzz")
+    code, out, err = _run_with_input(directory, (["--json"] if as_json else []) + argv, content)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     # A failure always says why; a success says nothing on stderr.
@@ -569,3 +613,11 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
     code, out, err = run(command + [_input_file(tmp_path, content)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+
+
+@pytest.mark.parametrize("argv, content, problem", _BAD_VALUES, ids=["long-name", "pd-prefix", "catalog-bytes"])
+def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
+    code, out, err = _run_with_input(tmp_path, argv, content)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    assert len(err.encode()) < 300

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import time
 from collections import Counter
 from math import isqrt
@@ -649,6 +650,35 @@ def test_tower_json_errors():
     ]:
         with pytest.raises(InvalidTowerError, match=r"cycle\[0\].*MalformedStage.*knot"):
             tower_from_dict({"initial": "unknot", "cycle": [stage]})
+
+
+@pytest.mark.parametrize("kind", [None, 5, True, ["a"], {"x": 1}, "SWALLOW", " swallow"], ids=repr)
+def test_unknown_stage_kind_is_refused(kind):
+    # The loader looks a kind up by its JSON name; an unhashable kind is
+    # refused like any other, not let out as a TypeError.
+    message = f"cycle[0]: unknown stage kind {kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tower_from_dict({"initial": "unknot", "cycle": [{"kind": kind}]})
+
+
+def test_a_bad_value_is_quoted_in_full_only_when_short():
+    def message(value):
+        with pytest.raises(ValueError) as exc:
+            tower_from_dict({"initial": "unknot", "initial_genus": value, "cycle": [{"kind": "core_parallel"}]})
+        return str(exc.value)
+
+    # A repr of up to 60 characters is quoted whole; a longer one is cut and
+    # says how long it was.
+    for value in [[1, 2], 2.5, "x" * 58]:
+        assert message(value) == f"tower: 'initial_genus' must be an integer, got {value!r}"
+    assert message("x" * 59) == (
+        f"tower: 'initial_genus' must be an integer, got '{'x' * 59}... (61 characters)"
+    )
+    long = message(list(range(200_000)))
+    assert long.endswith(" got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1... (1488890 characters)")
+    doc = {"initial": "unknot", "cycle": [{"kind": "wind", "w": 2, **{f"f{i}": 0 for i in range(10**4)}}]}
+    with pytest.raises(ValueError, match=r"^cycle\[0\]: unknown stage fields \['f0', 'f1', .*characters\)$"):
+        tower_from_dict(doc)
 
 
 def test_generic_stage_with_knot_is_malformed():

@@ -6,6 +6,7 @@ import copy
 import pickle
 import subprocess
 import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import pytest
 from toroidal.catalog import built_in_towers, mask_tower
 from toroidal.diagrams import Crossing, Diagram, alexander_from_diagram, parse_pd
 from toroidal.knots import TABLE_KNOTS, UNKNOT, KnotGenus, Sum, Table, Torus, Unknot
-from toroidal.laurent import ONE, ZERO, LaurentPoly, parse_poly
+from toroidal.laurent import ONE, ZERO, LaurentPoly, kept_fact, parse_poly, value_type
 from toroidal.towers import (
     CohProfile,
+    InvalidTowerError,
     DistinguishResult,
     FlowVerdict,
     GenusResult,
@@ -24,6 +26,7 @@ from toroidal.towers import (
     RInvariant,
     RVerdict,
     Stage,
+    StageKind,
     SteinitzNumber,
     Tower,
     ValidationReport,
@@ -178,6 +181,74 @@ def test_replace_gives_a_fresh_value_without_facts():
         Torus(2, 3)._replace(q=4)
     with pytest.raises(ValueError, match="at least one part"):
         Sum((UNKNOT,))._replace(parts=())
+
+
+def _counted_fact(runs: list):
+    """A value type whose fact records each run of its body in ``runs``."""
+
+    class Halved(value_type("Halved", "n")):
+        @kept_fact
+        def half(self) -> int:
+            """``n // 2`` of an even ``n``."""
+            runs.append(self.n)
+            if self.n % 2:
+                raise ValueError(f"{self.n} is odd")
+            return self.n // 2
+
+    return Halved
+
+
+def test_a_kept_fact_runs_once_per_value():
+    runs = []
+    Halved = _counted_fact(runs)
+    a, b = Halved(4), Halved(4)
+    assert (a.half, a.half, b.half, b.half) == (2, 2, 2, 2)
+    assert runs == [4, 4] and vars(a) == vars(b) == {"half": 2}
+    copy_ = a._replace()
+    assert copy_ == a and not vars(copy_) and not vars(Halved(4))
+    assert Halved.half.__doc__ == "``n // 2`` of an even ``n``."
+
+
+def test_a_fact_that_raises_keeps_nothing():
+    runs = []
+    odd = _counted_fact(runs)(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="3 is odd"):
+            odd.half
+    assert runs == [3, 3] and not vars(odd)
+    # An invalid tower keeps its walk, but not the states it refuses to give.
+    bad = _invalid()
+    for _ in range(2):
+        with pytest.raises(InvalidTowerError):
+            bad._states
+    assert list(vars(bad)) == ["_walked"]
+
+
+def test_threads_reading_one_stage_agree():
+    # Facts take no lock: threads that race on a first read may each compute
+    # the fact, and every reader sees an equal value.  More threads than
+    # cores, and a short switch interval, make the race likely.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in range(1, 51):
+            stage = Stage(StageKind.SWALLOW, w, knot=Sum((Torus(2, 3), Torus(3, 5))))
+            barrier, seen = threading.Barrier(4), []
+
+            def read():
+                barrier.wait()
+                seen.append((stage._pattern_bound, stage._faults))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [(stage._pattern_bound, stage._faults)] * 4
+            assert stage._pattern_bound == (5, True) and bool(stage._faults) == (w != 1)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("cls", MAKERS, ids=lambda cls: cls.__name__)
