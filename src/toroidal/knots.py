@@ -305,7 +305,7 @@ def parse_knot(text: str) -> KnotExpr:
     text = text.strip()
     expr, pos = _parse_expr(text, 0)
     if text[pos:].strip():
-        raise ValueError(f"trailing input in knot expression: {text[pos:].strip()!r}")
+        raise ValueError(f"trailing input in knot expression: {text[pos:].strip()[:40]!r}")
     return normalize(expr)
 
 
@@ -322,7 +322,7 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
     if m:
         name = m.group(1)
         if name not in TABLE_KNOTS:
-            raise ValueError(f"unknown table knot {name!r}")
+            raise ValueError(f"unknown table knot {name[:40]!r}")
         return TABLE_KNOTS[name], m.end()
     if text.startswith("sum(", pos):
         if depth == _MAX_NESTING:

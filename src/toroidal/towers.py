@@ -1143,10 +1143,10 @@ def load_tower(path: str | PathLike[str]) -> Tower:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply to read") from exc
     return tower_from_dict(obj)

@@ -522,6 +522,8 @@ _DEEP_JSON = "[" * 10**5
 _DEEP_NAME = '{"initial": "unknot", "name": %s, "cycle": []}' % ("[" * 995 + "]" * 995)
 _LONG_NAME = json.dumps({"initial": "unknot", "name": list(range(200_000)), "cycle": []})
 _NOT_UTF8_JSON = b"\xff{}"
+_LONG_INITIAL = json.dumps({"initial": "unknot " + "x" * 10**5, "cycle": [{"kind": "core_parallel"}]})
+_LONG_INTEGER = '{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % ("9" * 5000)
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -531,12 +533,18 @@ _HOSTILE_FILES = [
     (["tower", "report"], _DEEP_NAME, "nested too deeply"),
 ]
 # Inputs whose message once named the wrong thing or had no bound: a long
-# bad value, a PD body that repeats its own prefix, and a catalog file that
-# is not UTF-8.  A catalog command finds its file in the catalog directory.
+# bad value, a PD body that repeats its own prefix, a catalog file that is
+# not UTF-8, long unread knot text in an argument or a tower file, and an
+# integer too long to convert.  A catalog command finds its file in the
+# catalog directory.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
     (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "bad.json: not UTF-8 text"),
+    (["knot", "genus", "unknot " + "x" * 10**5], None, "trailing input in knot expression: 'xxx"),
+    (["knot", "genus", f"table({'a' * 10**5})"], None, "unknown table knot 'aaa"),
+    (["tower", "report", _FILE], _LONG_INITIAL, "trailing input in knot expression: 'xxx"),
+    (["tower", "report", _FILE], _LONG_INTEGER, "input: not valid JSON: Exceeds the limit"),
 ]
 
 
@@ -594,6 +602,10 @@ _CLI_CASE = st.one_of(
 @example(case=_BAD_VALUES[0][:2], as_json=True)
 @example(case=_BAD_VALUES[1][:2], as_json=False)
 @example(case=_BAD_VALUES[2][:2], as_json=False)
+@example(case=_BAD_VALUES[3][:2], as_json=True)
+@example(case=_BAD_VALUES[4][:2], as_json=False)
+@example(case=_BAD_VALUES[5][:2], as_json=True)
+@example(case=_BAD_VALUES[6][:2], as_json=False)
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
     argv, content = case
     directory = None if content is None else tmp_path_factory.mktemp("fuzz")
@@ -615,7 +627,12 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
     assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
 
 
-@pytest.mark.parametrize("argv, content, problem", _BAD_VALUES, ids=["long-name", "pd-prefix", "catalog-bytes"])
+@pytest.mark.parametrize(
+    "argv, content, problem",
+    _BAD_VALUES,
+    ids=["long-name", "pd-prefix", "catalog-bytes", "long-trailing-text", "long-table-name",
+         "long-initial", "long-integer"],
+)
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)
     assert code == 2 and out == ""

@@ -21,6 +21,7 @@ from conftest import (
 from toroidal import diagrams
 from toroidal.diagrams import (
     MAX_CROSSINGS,
+    Diagram,
     PDSyntaxError,
     PDValidationError,
     alexander_from_diagram,
@@ -109,6 +110,8 @@ def test_parse_empty_is_unknot():
     d = parse_pd("PD[]")
     assert d.n == 0
     assert alexander_from_diagram(d) == ONE
+    assert seifert_circle_count(d) == 1
+    assert seifert_genus_upper(d) == 0
     assert genus_bounds(d) == (0, 0)
 
 
@@ -157,6 +160,76 @@ def test_validation_errors():
     # a label occurring twice in one slot role
     with pytest.raises(PDValidationError):
         parse_pd("PD[X[1,3,2,4],X[1,4,2,3]]")
+
+
+_LABELS = "incoming edges must be exactly 1..{} for {} crossings: every edge enters one crossing"
+
+# One row per raise site of the PD rules in the module docstring: the text
+# and the exact message.
+PD_VALIDATION_ERRORS = [
+    # Rule 1: the Hopf link's labels are consecutive within each component only.
+    ("PD[X[4,1,3,2],X[2,3,1,4]]", "crossing X[4,1,3,2]: under-strand must leave at 1; "
+     "labels are not consecutive along a single knot (links are rejected)"),
+    # Rule 2: every label is in range, but 4 and 6 are not consecutive.
+    ("PD[X[1,4,2,6],X[3,6,4,1],X[5,2,6,3]]", "crossing X[1,4,2,6]: over-strand labels 4,6 are not "
+     "consecutive along a single knot (links are rejected)"),
+    # Rule 3: edges 1 and 3 each enter twice, as under- and as over-strand.
+    ("PD[X[1,2,2,1],X[3,4,4,3]]", _LABELS.format(4, 2)),
+    # Rule 3: a label out of range; rules 1 and 2 hold mod 6.
+    ("PD[X[1,4,2,9],X[3,6,4,1],X[5,2,6,3]]", _LABELS.format(6, 3)),
+    # Rule 3: a crossing duplicated in place of another.
+    ("PD[X[1,4,2,5],X[1,4,2,5],X[5,2,6,3]]", _LABELS.format(6, 3)),
+    (torus_2_pd(MAX_CROSSINGS + 1), "PD code has 101 crossings; the limit is 100"),
+]
+
+
+def test_validation_errors_name_the_rule():
+    for text, message in PD_VALIDATION_ERRORS:
+        with pytest.raises(PDValidationError) as exc:
+            parse_pd(text)
+        assert str(exc.value) == message, text
+
+
+_MUTATIONS = ["edit", "swap", "rotate", "drop", "duplicate"]
+
+
+@st.composite
+def _mutated_codes(draw):
+    """Codes of small braid closures with one to three mutations: a label
+    set to any value from 0 to 2n + 1, two slots of a crossing swapped, a
+    crossing's slots rotated, a crossing dropped or one duplicated."""
+    p, q = draw(st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]))
+    quads = [list(quad) for quad in braid_closure_quads(p, q)]
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3)):
+        if not quads:
+            break
+        i = draw(st.integers(0, len(quads) - 1))
+        quad = quads[i]
+        if mutation == "edit":
+            quad[draw(st.integers(0, 3))] = draw(st.integers(0, 2 * len(quads) + 1))
+        elif mutation == "swap":
+            j, k = draw(st.permutations(range(4)))[:2]
+            quad[j], quad[k] = quad[k], quad[j]
+        elif mutation == "rotate":
+            shift = draw(st.integers(1, 3))
+            quads[i] = quad[shift:] + quad[:shift]
+        elif mutation == "drop":
+            del quads[i]
+        else:
+            quads.insert(draw(st.integers(0, len(quads))), list(quad))
+    return pd_text(quads)
+
+
+@settings(deadline=None)
+@given(_mutated_codes())
+def test_a_mutated_code_is_a_diagram_or_a_validation_error(text):
+    try:
+        d = parse_pd(text)
+    except PDValidationError:
+        return
+    assert isinstance(d, Diagram) and len(d.edge_arc) == 2 * d.n
+    assert sorted(label for c in d.crossings for label in c[:4]) == sorted(2 * list(range(1, 2 * d.n + 1)))
+    genus_bounds(d)  # an accepted code meets every internal check
 
 
 def test_crossing_cap():
@@ -301,6 +374,20 @@ def test_bareiss_examples():
     assert _bareiss([{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 6}]) == 0  # column 2 is empty
     assert _det_kronecker([{0: (1, 1)}, {0: (0, 1)}]) == ZERO
     assert _bareiss([]) == 1
+
+
+def test_bareiss_signs_every_permutation_matrix():
+    signed = 0
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            assert _bareiss([{j: 1} for j in perm]) == sign, perm
+            # Times the lower triangle of ones: the same determinant, but
+            # column j now has n - j nonzeros, so each step pivots on the
+            # last column left rather than the first.
+            assert _bareiss([dict.fromkeys(range(j + 1), 1) for j in perm]) == sign, perm
+            signed += 1
+    assert signed == 153
 
 
 # -- one determinant per diagram --------------------------------------------

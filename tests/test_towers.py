@@ -610,6 +610,8 @@ def test_tower_json_errors():
         tower_from_dict({"initial": "unknot", "cycle": [{"kind": "wind"}]})
     with pytest.raises(ValueError):
         tower_from_dict({"initial": "unknot", "bogus": 1, "cycle": []})
+    with pytest.raises(ValueError, match=r"^cycle\[0\]: stage must be an object$"):
+        tower_from_dict({"initial": "unknot", "cycle": [5]})
     # A swallow stage's pattern is its knot: pattern fields are refused,
     # whether they contradict the knot or agree with it.
     for fields in [
