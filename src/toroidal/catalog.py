@@ -64,7 +64,7 @@ def mask_tower(mask: str, prefix_len: int = 8) -> Tower:
     knot repeats as the cycle, standing in for the remaining tail.
     """
     if not mask or any(ch not in "01" for ch in mask):
-        raise ValueError(f"mask must be a nonempty string of 0s and 1s, got {mask!r}")
+        raise ValueError(f"mask must be a nonempty string of 0s and 1s, got {mask[:40]!r}")
     if "1" not in mask:
         raise ValueError("mask must select at least one knot")
     selected: list[Torus] = []

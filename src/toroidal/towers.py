@@ -36,7 +36,7 @@ only yields the inequality above.
 
 Each fact is computed once, when first read, and kept on the frozen value
 it derives from by :class:`~toroidal.laurent.kept_fact`, which takes no
-lock: a :class:`Stage` keeps its pattern bound and its contract faults, and
+lock: a :class:`Stage` keeps its pattern and its contract faults, and
 a :class:`Tower` keeps its one walk of the unrolled tower (the validation
 report and the chain states), its cohomology profile and its genus.  Reading
 the states of an invalid tower raises :class:`InvalidTowerError` and keeps
@@ -50,7 +50,7 @@ import enum
 import json
 from collections import Counter
 from collections.abc import Iterable
-from itertools import chain, count
+from itertools import count
 from math import gcd
 from os import PathLike
 
@@ -158,19 +158,20 @@ class Stage(value_type(
     is an externally asserted exact genus of the inner torus.  ``concentric``
     asserts that the region between the tori is a product; it is declared
     input, with its necessary conditions (winding one, trivial pattern)
-    enforced by the validator.  The pattern bound and the stage-contract
+    enforced by the validator.  The pattern and the stage-contract
     faults depend on the stage alone; each is kept on it when first read.
     """
 
     @kept_fact
-    def _pattern_bound(self) -> tuple[int, bool]:
-        """Lower bound for the pattern genus and whether it is exact."""
+    def _pattern(self) -> tuple[int, bool, KnotExpr | LaurentPoly | None]:
+        """A lower bound for the pattern genus, whether it is exact, and the pattern: the
+        swallowed knot, the polynomial, ``ONE`` at genus 0 (unknotted), or ``None``."""
         if self.kind is _SWALLOW and self.knot is not None:
             g = genus_of_knot(self.knot)
-            return (g.lower, g.is_exact)
-        if self.pattern_genus is not None:
-            return (self.pattern_genus, True)
-        return (0, False)
+            return (g.lower, g.is_exact, self.knot)
+        genus, delta = self.pattern_genus, self.pattern_delta
+        pattern = ONE if delta is None and genus == 0 else delta
+        return (0, False, pattern) if genus is None else (genus, True, pattern)
 
     @kept_fact
     def _faults(self) -> tuple[tuple[ViolationKind, str], ...]:
@@ -181,20 +182,20 @@ class Stage(value_type(
             out.append((kind, msg))
 
         if self.winding < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative winding {self.winding}")
+            bad(ViolationKind.MALFORMED_STAGE, f"negative winding {_quoted(self.winding)}")
         if self.winding > _MAX_WINDING:
-            bad(ViolationKind.MALFORMED_STAGE, f"winding {self.winding} exceeds the limit 2^40")
+            bad(ViolationKind.MALFORMED_STAGE, f"winding {_quoted(self.winding)} exceeds the limit 2^40")
         if self.pattern_genus is not None and self.pattern_genus < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {self.pattern_genus}")
+            bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {_quoted(self.pattern_genus)}")
         if self.declared_genus is not None and self.declared_genus < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {self.declared_genus}")
+            bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {_quoted(self.declared_genus)}")
 
         if self.concentric and self.kind in (_SWALLOW, _WIND):
             bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{self.kind.value} stage cannot be concentric")
 
-        trivial_pattern = self._pattern_bound == (0, True) and (
-            self.pattern_delta is None or self.pattern_delta.is_unit()
-        )
+        # Read by the other kinds only; their exact genus-0 pattern is a polynomial.
+        bound, exact, pattern = self._pattern
+        trivial_pattern = self.kind is not _SWALLOW and exact and bound == 0 and pattern.is_unit()
         if self.kind is _CORE_PARALLEL:
             if self.winding != 1 or not trivial_pattern:
                 bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
@@ -228,13 +229,13 @@ class Stage(value_type(
                 bad(
                     ViolationKind.MALFORMED_STAGE,
                     f"pattern polynomial has |value at 1| = "
-                    f"{abs(self.pattern_delta.evaluate_at_one())}, knots require 1",
+                    f"{_quoted(abs(self.pattern_delta.evaluate_at_one()))}, knots require 1",
                 )
             if self.pattern_genus is not None and self.pattern_delta.breadth() > 2 * self.pattern_genus:
                 bad(
                     ViolationKind.MALFORMED_STAGE,
-                    f"pattern polynomial breadth {self.pattern_delta.breadth()} exceeds "
-                    f"twice the pattern genus {self.pattern_genus}",
+                    f"pattern polynomial breadth {_quoted(self.pattern_delta.breadth())} exceeds "
+                    f"twice the pattern genus {_quoted(self.pattern_genus)}",
                 )
         if self.pattern_delta is not None and self.pattern_delta.is_zero():
             bad(ViolationKind.MALFORMED_STAGE, "pattern polynomial cannot be zero")
@@ -352,12 +353,13 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
     a message describing the failed inequality.
     """
     bound, exact = state
-    plb, pexact = stage._pattern_bound
+    plb, pexact, _ = stage._pattern
     w = stage.winding
-    if w == 0 or (exact and bound == 0):
-        # The inner torus sits in a ball, or the outer torus is exactly
-        # unknotted; either way its core has the pattern's knot type.
-        out = stage._pattern_bound
+    # The inner torus sits in a ball, or the outer torus is exactly
+    # unknotted; either way its core has the pattern's knot type.
+    reset = w == 0 or (exact and bound == 0)
+    if reset:
+        out = (plb, pexact)
     elif stage.concentric and not stage._faults:
         out = state
     elif stage.kind is _SWALLOW:
@@ -370,13 +372,15 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
         d = stage.declared_genus
         if d < out[0]:
             message = (
-                f"declared genus {d} violates g' >= w*g + g(T,T') "
-                f"= {w}*{bound} + {plb} = {out[0]}"
-                if w >= 1 and not (exact and bound == 0)
-                else f"declared genus {d} is below the pattern genus {out[0]}"
+                f"declared genus {_quoted(d)} violates g' >= w*g + g(T,T') "
+                f"= {_quoted(w)}*{_quoted(bound)} + {_quoted(plb)} = {_quoted(out[0])}"
+                if w >= 1 and not reset
+                else f"declared genus {_quoted(d)} is below the pattern genus {_quoted(out[0])}"
             )
         elif out[1] and d != out[0]:
-            message = f"declared genus {d} contradicts the exactly determined genus {out[0]}"
+            message = (
+                f"declared genus {_quoted(d)} contradicts the exactly determined genus {_quoted(out[0])}"
+            )
         else:
             out = (d, True)
     return out, message
@@ -393,7 +397,7 @@ def _initial_state(tower: Tower) -> tuple[tuple[int, bool], list[Violation]]:
         relation = "is below the provable lower bound"
     else:
         return (d, True), []
-    message = f"declared initial genus {d} {relation} {g.lower}"
+    message = f"declared initial genus {_quoted(d)} {relation} {_quoted(g.lower)}"
     return (g.lower, g.is_exact), [Violation(ViolationKind.MALFORMED_STAGE, "initial", message)]
 
 
@@ -669,10 +673,10 @@ def genus_of_tower(tower: Tower) -> GenusResult:
 
 
 def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
-    cycle_ws = [s.winding for s in tower.cycle]
-    all_ge1 = all(w >= 1 for w in cycle_ws)
-
-    if all_ge1 and any(s._pattern_bound[0] > 0 for s in tower.cycle):
+    # The class sorts the cycle windings: some is 0 (trivial), or all are at
+    # least 1 and some at least 2 (not finitely generated), or all are 1 (Z).
+    h1 = tower._coh.h1
+    if h1 is not H1Class.TRIVIAL and any(s._pattern[0] > 0 for s in tower.cycle):
         return GenusResult.infinite(GenusRule.STRONGLY_KNOTTED)
 
     # The last state, after the walk's second cycle pass, is the fixed point:
@@ -687,10 +691,10 @@ def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
     # generated and every winding is at least one, a positive bound anywhere
     # on the chain is positive here, and gives the winding blowup.
     bound, exact = states[-1]
-    if all_ge1 and any(w >= 2 for w in cycle_ws) and bound > 0:
+    if h1 is H1Class.NOT_FINITELY_GENERATED and bound > 0:
         return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
 
-    if any(w == 0 for w in cycle_ws) and not (exact and bound == 0):
+    if h1 is H1Class.TRIVIAL and not (exact and bound == 0):
         # A winding-0 cycle supports only exact genus 0: for a homologically
         # trivial set the limit of the tori's genera is only an upper bound.
         return GenusResult.lower_bound(0)
@@ -712,17 +716,6 @@ def is_unknotted_tower(tower: Tower) -> bool:
 
 # ---------------------------------------------------------------------------
 # stabilized Alexander polynomial
-
-
-def _stage_pattern(stage: Stage) -> KnotExpr | LaurentPoly:
-    """The stage's pattern: the swallowed knot, or the pattern polynomial."""
-    if stage.kind is _SWALLOW and stage.knot is not None:
-        return stage.knot
-    if stage.pattern_delta is not None:
-        return stage.pattern_delta
-    if stage.pattern_genus == 0:
-        return ONE  # a genus-zero pattern is unknotted
-    raise InvariantUnavailable("stage pattern polynomial is not declared")
 
 
 def tower_alexander(tower: Tower) -> LaurentPoly:
@@ -749,9 +742,15 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
             f"the stabilized polynomial has genus {genus.value}, "
             f"which exceeds the limit {MAX_GENUS}"
         )
-    # Lazy, so that a stage's pattern is read only when the fold reaches it.
-    stages = ((_stage_pattern(stage), stage.winding) for stage in tower.prefix)
-    return satellite_alexander(chain([(tower.initial, 1)], stages))
+    def steps():  # lazy: a stage's pattern is read when the fold reaches it
+        yield tower.initial, 1
+        for stage in tower.prefix:
+            pattern = stage._pattern[2]
+            if pattern is None:
+                raise InvariantUnavailable("stage pattern polynomial is not declared")
+            yield pattern, stage.winding
+
+    return satellite_alexander(steps())
 
 
 def reembed_unknotted(tower: Tower) -> Tower:
@@ -842,8 +841,8 @@ def homeo_attractor_verdict(tower: Tower) -> HomeoVerdict:
             "a toroidal attractor of a homeomorphism must have finite genus; "
             + genus.justification,
         )
-    if tower._coh.h1 is H1Class.NOT_FINITELY_GENERATED:
-        all_windings_ge1 = all(s.winding >= 1 for s in tower.prefix + tower.cycle)
+    if tower._coh.h1 is H1Class.NOT_FINITELY_GENERATED:  # so every cycle winding is >= 1
+        all_windings_ge1 = all(s.winding >= 1 for s in tower.prefix)
         # Knotted only where proved.  The genus chain need not be read: with
         # every winding at least one it never falls, so a positive bound on
         # it would have reached the cycle and given infinite genus above.
@@ -1034,18 +1033,23 @@ def _quoted(value) -> str:
     return text if len(text) <= _MAX_QUOTED else f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
 
 
-def _field(obj: dict, key: str, where: str, kind: type, default=...):
+def _field(obj: dict, key: str, where: str, kind: type, default=..., parse=None):
     """``obj[key]`` of exactly type ``kind`` (so no ``true`` or ``2.9`` for an int),
-    or ``default`` when absent; a required field has none.  Null means unknown
-    and passes only where that is the default."""
+    read by ``parse`` if given, or ``default`` when absent; a required field has
+    none.  Null means unknown and passes only where that is the default."""
     if key not in obj:
         if default is ...:
             raise ValueError(f"{where}: missing field {key!r}")
         return default
     value = obj[key]
-    if type(value) is kind or (value is None and default is None):
+    if value is None and default is None:
         return value
-    raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {_quoted(value)}")
+    if type(value) is not kind:
+        raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {_quoted(value)}")
+    try:
+        return value if parse is None else parse(value)
+    except ValueError as exc:  # a grammar error, worded to name the field
+        raise ValueError(f"{where}: {key!r}: {exc}") from None
 
 
 def _stage_from_dict(obj: dict, where: str) -> Stage:
@@ -1066,16 +1070,15 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     if unknown:
         raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(unknown))}")
 
-    knot = _field(obj, "knot", where, str, ... if kind is _SWALLOW else None)
-    knot = None if knot is None else parse_knot(knot)
+    knot = _field(obj, "knot", where, str, ... if kind is _SWALLOW else None, parse_knot)
     defaults = _STAGE_DEFAULTS[kind]
     winding = _field(obj, "w", where, int, defaults.get("winding", ...))
-    delta = _field(obj, "pattern_delta", where, str, None)
+    delta = _field(obj, "pattern_delta", where, str, None, parse_poly)
     stage = Stage(
         kind,
         winding,
         _field(obj, "pattern_genus", where, int, defaults.get("pattern_genus")),
-        defaults.get("pattern_delta") if delta is None else parse_poly(delta),
+        defaults.get("pattern_delta") if delta is None else delta,
         _field(obj, "declared_genus", where, int, None),
         _field(obj, "concentric", where, bool, defaults.get("concentric", False)),
         knot,
@@ -1107,8 +1110,8 @@ def tower_from_dict(obj: dict) -> Tower:
     if unknown:
         raise ValueError(f"unknown tower fields {_quoted(sorted(unknown))}")
     if _field(obj, "schema_version", "tower", int, 1) != 1:
-        raise ValueError(f"unsupported schema_version {obj['schema_version']!r}")
-    initial = parse_knot(_field(obj, "initial", "tower", str))
+        raise ValueError(f"unsupported schema_version {_quoted(obj['schema_version'])}")
+    initial = _field(obj, "initial", "tower", str, ..., parse_knot)
     prefix, cycle = (
         tuple(
             _stage_from_dict(s, f"{key}[{i}]")

@@ -524,6 +524,9 @@ _LONG_NAME = json.dumps({"initial": "unknot", "name": list(range(200_000)), "cyc
 _NOT_UTF8_JSON = b"\xff{}"
 _LONG_INITIAL = json.dumps({"initial": "unknot " + "x" * 10**5, "cycle": [{"kind": "core_parallel"}]})
 _LONG_INTEGER = '{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % ("9" * 5000)
+_BAD_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 - t +"}]})
+_BAD_KNOT = json.dumps({"initial": "unknot", "cycle": [{"kind": "swallow", "knot": "torus(2,3) zzz"}]})
+_BAD_INITIAL = json.dumps({"initial": "torus(2,4)", "cycle": [{"kind": "core_parallel"}]})
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -534,17 +537,23 @@ _HOSTILE_FILES = [
 ]
 # Inputs whose message once named the wrong thing or had no bound: a long
 # bad value, a PD body that repeats its own prefix, a catalog file that is
-# not UTF-8, long unread knot text in an argument or a tower file, and an
-# integer too long to convert.  A catalog command finds its file in the
-# catalog directory.
+# not UTF-8, long unread knot text in an argument or a tower file, an
+# integer too long to convert, grammar errors in a tower file's fields and a
+# long mask.  A catalog command finds its file in the catalog directory.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
     (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "bad.json: not UTF-8 text"),
     (["knot", "genus", "unknot " + "x" * 10**5], None, "trailing input in knot expression: 'xxx"),
     (["knot", "genus", f"table({'a' * 10**5})"], None, "unknown table knot 'aaa"),
-    (["tower", "report", _FILE], _LONG_INITIAL, "trailing input in knot expression: 'xxx"),
+    (["tower", "report", _FILE], _LONG_INITIAL, "tower: 'initial': trailing input in knot expression: 'xxx"),
     (["tower", "report", _FILE], _LONG_INTEGER, "input: not valid JSON: Exceeds the limit"),
+    (["tower", "report", _FILE], _BAD_DELTA,
+     "cycle[0]: 'pattern_delta': polynomial syntax error at position 7: expected a term"),
+    (["tower", "report", _FILE], _BAD_KNOT, "cycle[0]: 'knot': trailing input in knot expression: 'zzz'"),
+    (["tower", "report", _FILE], _BAD_INITIAL, "tower: 'initial': torus knot parameters must be coprime"),
+    (["catalog", "report", "mask:" + "01" * 5 + "x" * 10**5], None,
+     "mask must be a nonempty string of 0s and 1s, got '0101010101xxx"),
 ]
 
 
@@ -606,6 +615,10 @@ _CLI_CASE = st.one_of(
 @example(case=_BAD_VALUES[4][:2], as_json=False)
 @example(case=_BAD_VALUES[5][:2], as_json=True)
 @example(case=_BAD_VALUES[6][:2], as_json=False)
+@example(case=_BAD_VALUES[7][:2], as_json=True)
+@example(case=_BAD_VALUES[8][:2], as_json=False)
+@example(case=_BAD_VALUES[9][:2], as_json=True)
+@example(case=_BAD_VALUES[10][:2], as_json=False)
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
     argv, content = case
     directory = None if content is None else tmp_path_factory.mktemp("fuzz")
@@ -631,10 +644,34 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
     "argv, content, problem",
     _BAD_VALUES,
     ids=["long-name", "pd-prefix", "catalog-bytes", "long-trailing-text", "long-table-name",
-         "long-initial", "long-integer"],
+         "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask"],
 )
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
     assert len(err.encode()) < 300
+
+
+# A 4,000-digit integer converts, so each message that shows it quotes it cut.
+_LONG_DIGITS = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ('{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % _LONG_DIGITS,
+         "cycle[0]: MalformedStage: winding 999"),
+        ('{"schema_version": %s, "initial": "unknot", "cycle": []}' % _LONG_DIGITS,
+         "error: unsupported schema_version 999"),
+        ('{"initial": "unknot", "initial_genus": %s, "cycle": [{"kind": "core_parallel"}]}' % _LONG_DIGITS,
+         "initial: MalformedStage: declared initial genus 999"),
+        ('{"initial": "unknot", "cycle": [{"w": 1, "declared_genus": %s, "pattern_genus": 0}]}' % _LONG_DIGITS,
+         "cycle[0] (periodic): SchubertViolation: declared genus 999"),
+    ],
+    ids=["winding", "schema-version", "initial-genus", "declared-genus"],
+)
+def test_long_integers_are_quoted_cut(tmp_path, doc, problem):
+    code, out, err = run(["tower", "report", _input_file(tmp_path, doc)])
+    assert code == 2 and out == "" and problem in err and "... (4000 characters)" in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())

@@ -100,6 +100,29 @@ def test_expression_round_trip():
         parse_knot("sum()")
 
 
+# One row per raise site of parse_knot and the constructors it calls: the
+# text and its exact message.
+KNOT_SYNTAX_ERRORS = [
+    ("sum(unknot unknot)", "expected ';' or ')' in sum(...), got 'unknot)'"),
+    ("torus(2,3) x", "trailing input in knot expression: 'x'"),
+    ("knot", "malformed knot expression near 'knot'"),
+    ("", "malformed knot expression near ''"),
+    ("sum()", "malformed knot expression near ')'"),
+    ("sum(unknot;", "malformed knot expression near ''"),
+    ("table(nope)", "unknown table knot 'nope'"),
+    ("torus(2,4)", "torus knot parameters must be coprime, got (2, 4)"),
+    ("torus(1,3)", "torus knot parameters must be >= 2, got (1, 3)"),
+    ("sum(" * 101, "knot expression nests sum(...) deeper than 100 levels"),
+]
+
+
+def test_knot_parse_errors_are_exact():
+    for text, message in KNOT_SYNTAX_ERRORS:
+        with pytest.raises(ValueError) as exc:
+            parse_knot(text)
+        assert str(exc.value) == message, text
+
+
 def test_long_flat_sum_parses_in_linear_time():
     # 200,000 summands, 2.4 MB: a parser that copies the rest of the input
     # at every token needs about 20 s here.

@@ -151,6 +151,25 @@ def test_declared_contradicting_exact_value():
     assert any("contradicts" in v.message for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "initial, stage, message",
+    [
+        # A winding over a knotted core: the satellite inequality.
+        (TREFOIL, wind(2, declared_genus=1), "declared genus 1 violates g' >= w*g + g(T,T') = 2*1 + 0 = 2"),
+        # A winding over an exactly unknotted core resets to the pattern,
+        # and so does winding 0 over any core.
+        (UNKNOT, generic(1, pattern_genus=2, declared_genus=1), "declared genus 1 is below the pattern genus 2"),
+        (TREFOIL, generic(0, pattern_genus=2, declared_genus=1), "declared genus 1 is below the pattern genus 2"),
+        (TREFOIL, Stage(StageKind.CORE_PARALLEL, 1, 0, ONE, 5, True),
+         "declared genus 5 contradicts the exactly determined genus 1"),
+    ],
+    ids=["schubert", "unknotted-core", "winding-0", "contradicts"],
+)
+def test_declared_genus_messages(initial, stage, message):
+    (violation,) = validate_tower(tower(initial, cycle=[stage])).violations
+    assert str(violation) == f"cycle[0] (periodic): SchubertViolation: {message}"
+
+
 def test_classifiers_refuse_invalid_towers():
     from toroidal.reports import build_report
 
@@ -542,6 +561,17 @@ def test_distinguish_masks_truncated_to_six():
     assert distinguish_connected_sums(a, b).inequivalent
 
 
+def test_mask_errors_quote_at_most_40_characters():
+    for mask, message in [
+        ("0000", "mask must select at least one knot"),
+        ("", "mask must be a nonempty string of 0s and 1s, got ''"),
+        ("0" * 10**5 + "2", f"mask must be a nonempty string of 0s and 1s, got {'0' * 40!r}"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            mask_tower(mask)
+        assert str(exc.value) == message
+
+
 def test_distinguish_prime_table_summands():
     fig8, k52 = TABLE_KNOTS["figure_eight"], TABLE_KNOTS["5_2"]
     a = tower(fig8, cycle=[swallow(k52)])
@@ -764,7 +794,7 @@ def test_each_knot_genus_is_computed_once(monkeypatch):
     _count_calls(monkeypatch, towers, calls)
     doc = tower_to_dict(mask_tower("1", 64))
     t = tower_from_dict(doc)
-    # The loader checks each stage contract, which reads the pattern bound.
+    # The loader checks each stage contract, which reads the pattern.
     assert calls["genus_of_knot"] == len(t.prefix) + len(t.cycle) == 65
     assert validate_tower(t).ok
     report = build_report(t)

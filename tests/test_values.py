@@ -157,7 +157,7 @@ def test_repr_is_the_field_form():
 def _with_facts():
     """A tower, a stage and a diagram that have each kept their facts."""
     tower, stage, diagram = mask_tower("1", 3), swallow(Torus(2, 5)), parse_pd(TREFOIL_PD)
-    genus_of_tower(tower), stage._pattern_bound, alexander_from_diagram(diagram)
+    genus_of_tower(tower), stage._pattern, alexander_from_diagram(diagram)
     return tower, stage, diagram
 
 
@@ -237,7 +237,7 @@ def test_threads_reading_one_stage_agree():
 
             def read():
                 barrier.wait()
-                seen.append((stage._pattern_bound, stage._faults))
+                seen.append((stage._pattern, stage._faults))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for thread in threads:
@@ -245,8 +245,8 @@ def test_threads_reading_one_stage_agree():
             for thread in threads:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-            assert seen == [(stage._pattern_bound, stage._faults)] * 4
-            assert stage._pattern_bound == (5, True) and bool(stage._faults) == (w != 1)
+            assert seen == [(stage._pattern, stage._faults)] * 4
+            assert stage._pattern[:2] == (5, True) and bool(stage._faults) == (w != 1)
     finally:
         sys.setswitchinterval(interval)
 
