@@ -4,8 +4,9 @@ The algebra covers the decidable fragment needed by the tower classifiers:
 the unknot, torus knots ``T(p, q)``, finite connected sums, and table
 entries carrying externally known invariants.  Equivalence is decided only
 where it is decidable: torus knots by unordered parameter pairs, connected
-sums by prime-summand multisets.  Every knot reader reads one summand walk,
-``_summands``: sums flattened, unknots dropped, torus parameters ordered.
+sums by prime-summand multisets.  The knot readers read one summand walk,
+``_summands`` (sums flattened, unknots dropped, torus parameters ordered);
+``normalize`` and ``genus_of_knot`` read a torus knot without it.
 
 ``T(p, q)`` has ``Delta = t^c + sum(t^s - t^(s+1) for s in <p, q>, s < c)``
 with ``c = (p-1)(q-1)``: ``1 - t`` times the Poincare series of the semigroup
@@ -21,10 +22,10 @@ Text form (round-trippable, parsed by :func:`parse_knot`):
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from collections.abc import Iterable
+from math import gcd
 
 from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly, value_type
 
@@ -72,9 +73,9 @@ class Torus(value_type("Torus", "p q")):
     def __new__(cls, p: int, q: int) -> Torus:
         if p < 2 or q < 2:
             raise ValueError(f"torus knot parameters must be >= 2, got ({p}, {q})")
-        if math.gcd(p, q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
-        return super().__new__(cls, p, q)
+        return tuple.__new__(cls, (p, q))  # what the named tuple's __new__ does, one call fewer
 
     def __str__(self) -> str:
         return f"torus({self.p},{self.q})"
@@ -134,7 +135,7 @@ class KnotGenus(value_type("KnotGenus", "lower upper")):
             raise ValueError("genus lower bound must be nonnegative")
         if upper is not None and upper < lower:
             raise ValueError("genus upper bound below lower bound")
-        return super().__new__(cls, lower, upper)
+        return tuple.__new__(cls, (lower, upper))
 
     @classmethod
     def exact(cls, g: int) -> KnotGenus:
@@ -177,6 +178,8 @@ def _summand_genus(s: Torus | Table) -> int | None:
 
 def normalize(k: KnotExpr) -> KnotExpr:
     """Flatten sums, drop unknot summands, order torus parameters p <= q."""
+    if isinstance(k, Torus):  # an atom returns at once
+        return k if k.p <= k.q else Torus(k.q, k.p)
     parts = _summands(k)
     return Sum(tuple(parts)) if len(parts) > 1 else parts[0] if parts else UNKNOT
 
@@ -188,6 +191,9 @@ def genus_of_knot(k: KnotExpr) -> KnotGenus:
     and sums of these; otherwise the best bounds.  Genus is additive over
     connected sums.
     """
+    if isinstance(k, Torus):  # an atom: no summand walk
+        g = _summand_genus(k)
+        return KnotGenus(g, g)
     lower, known = 0, True
     for s in _summands(k):
         g = _summand_genus(s)
@@ -291,7 +297,7 @@ TABLE_KNOTS: dict[str, Table] = {
     "5_2": Table("5_2", genus=1, delta=parse_poly("2 - 3*t + 2*t^2"), prime=True),
 }
 
-_TORUS_RE = re.compile(r"torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TORUS_RE = re.compile(r"\s*torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
 _SPACE = re.compile(r"\s*")
 
@@ -304,7 +310,7 @@ def parse_knot(text: str) -> KnotExpr:
     """Parse the knot-expression grammar; the result is normalized."""
     text = text.strip()
     expr, pos = _parse_expr(text, 0)
-    if text[pos:].strip():
+    if pos < len(text):  # the stripped text ends in no whitespace
         raise ValueError(f"trailing input in knot expression: {text[pos:].strip()[:40]!r}")
     return normalize(expr)
 
@@ -312,12 +318,12 @@ def parse_knot(text: str) -> KnotExpr:
 def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
     """The expression at ``text[pos:]`` and the index just past it; indexing
     rather than slicing keeps a long flat ``sum(`` linear."""
+    m = _TORUS_RE.match(text, pos)  # the commonest atom, leading whitespace and all
+    if m:
+        return Torus(int(m[1]), int(m[2])), m.end()
     pos = _SPACE.match(text, pos).end()
     if text.startswith("unknot", pos):
         return UNKNOT, pos + len("unknot")
-    m = _TORUS_RE.match(text, pos)
-    if m:
-        return Torus(int(m.group(1)), int(m.group(2))), m.end()
     m = _TABLE_RE.match(text, pos)
     if m:
         name = m.group(1)

@@ -12,7 +12,9 @@ Classifiers
 -----------
 
 * :func:`validate_tower` checks stage contracts and the satellite genus
-  inequality ``g(T') >= w * g(T) + g(T, T')`` along the unrolled tower.
+  inequality ``g(T') >= w * g(T) + g(T, T')`` along the prefix and two cycle
+  passes, read by index, naming a stage only where it records a violation;
+  the chain stops at a multiplied genus bound past 2^14000, a violation too.
 * :func:`cech_h1` computes the first Cech cohomology trichotomy (trivial,
   Z, or not finitely generated) plus a supernatural-number refinement.
 * :func:`genus_of_tower` runs the genus decision procedure: recurring
@@ -49,7 +51,6 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from collections.abc import Iterable
 from itertools import count
 from math import gcd
 from os import PathLike
@@ -141,6 +142,9 @@ _STAGE_DEFAULTS: dict[StageKind, dict] = {
 # Largest winding a stage may have; the cohomology factors each distinct
 # winding once, in well under 10 ms at this size (see _prime_factors).
 _MAX_WINDING = 2**40
+# Largest bit length of a genus-chain bound: about 4,215 digits, within Python's
+# default limit of 4,300 for printing an integer, so messages and reports show it.
+_MAX_BOUND_BITS = 14_000
 
 
 class Stage(value_type(
@@ -166,79 +170,67 @@ class Stage(value_type(
     def _pattern(self) -> tuple[int, bool, KnotExpr | LaurentPoly | None]:
         """A lower bound for the pattern genus, whether it is exact, and the pattern: the
         swallowed knot, the polynomial, ``ONE`` at genus 0 (unknotted), or ``None``."""
-        if self.kind is _SWALLOW and self.knot is not None:
-            g = genus_of_knot(self.knot)
-            return (g.lower, g.is_exact, self.knot)
-        genus, delta = self.pattern_genus, self.pattern_delta
+        kind, _, genus, delta, _, _, knot = self
+        if kind is _SWALLOW and knot is not None:
+            lower, upper = genus_of_knot(knot)
+            return (lower, lower == upper, knot)
         pattern = ONE if delta is None and genus == 0 else delta
         return (0, False, pattern) if genus is None else (genus, True, pattern)
 
     @kept_fact
     def _faults(self) -> tuple[tuple[ViolationKind, str], ...]:
         """The stage-contract faults, as ``(kind, message)`` pairs."""
+        kind, w, genus, delta, declared, concentric, knot = self  # each field read once
         out: list[tuple[ViolationKind, str]] = []
+        bad = out.append
 
-        def bad(kind: ViolationKind, msg: str) -> None:
-            out.append((kind, msg))
+        if w < 0:
+            bad((_MALFORMED, f"negative winding {_quoted(w)}"))
+        if w > _MAX_WINDING:
+            bad((_MALFORMED, f"winding {_quoted(w)} exceeds the limit 2^40"))
+        if genus is not None and genus < 0:
+            bad((_MALFORMED, f"negative pattern genus {_quoted(genus)}"))
+        if declared is not None and declared < 0:
+            bad((_MALFORMED, f"negative declared genus {_quoted(declared)}"))
 
-        if self.winding < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative winding {_quoted(self.winding)}")
-        if self.winding > _MAX_WINDING:
-            bad(ViolationKind.MALFORMED_STAGE, f"winding {_quoted(self.winding)} exceeds the limit 2^40")
-        if self.pattern_genus is not None and self.pattern_genus < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative pattern genus {_quoted(self.pattern_genus)}")
-        if self.declared_genus is not None and self.declared_genus < 0:
-            bad(ViolationKind.MALFORMED_STAGE, f"negative declared genus {_quoted(self.declared_genus)}")
-
-        if self.concentric and self.kind in (_SWALLOW, _WIND):
-            bad(ViolationKind.CONCENTRICITY_CONTRACT, f"{self.kind.value} stage cannot be concentric")
+        if concentric and kind in (_SWALLOW, _WIND):
+            bad((_CONTRACT, f"{kind.value} stage cannot be concentric"))
 
         # Read by the other kinds only; their exact genus-0 pattern is a polynomial.
         bound, exact, pattern = self._pattern
-        trivial_pattern = self.kind is not _SWALLOW and exact and bound == 0 and pattern.is_unit()
-        if self.kind is _CORE_PARALLEL:
-            if self.winding != 1 or not trivial_pattern:
-                bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must have w=1 and a trivial pattern")
-            if not self.concentric:
-                bad(ViolationKind.MALFORMED_STAGE, "core-parallel stage must be concentric")
-        elif self.kind is _SWALLOW:
-            if self.winding != 1:
-                bad(ViolationKind.MALFORMED_STAGE, "swallow stage must have w=1")
-            if self.knot is None:
-                bad(ViolationKind.MALFORMED_STAGE, "swallow stage carries no knot")
-            if self.pattern_genus is not None or self.pattern_delta is not None:
-                bad(
-                    ViolationKind.MALFORMED_STAGE,
-                    "swallow stage takes its pattern from its knot, not from pattern fields",
-                )
-        elif self.kind is _WIND:
+        trivial_pattern = kind is not _SWALLOW and exact and bound == 0 and pattern.is_unit()
+        if kind is _SWALLOW:
+            if w != 1:
+                bad((_MALFORMED, "swallow stage must have w=1"))
+            if knot is None:
+                bad((_MALFORMED, "swallow stage carries no knot"))
+            if genus is not None or delta is not None:
+                bad((_MALFORMED, "swallow stage takes its pattern from its knot, not from pattern fields"))
+        elif kind is _CORE_PARALLEL:
+            if w != 1 or not trivial_pattern:
+                bad((_MALFORMED, "core-parallel stage must have w=1 and a trivial pattern"))
+            if not concentric:
+                bad((_MALFORMED, "core-parallel stage must be concentric"))
+        elif kind is _WIND:
             if not trivial_pattern:
-                bad(ViolationKind.MALFORMED_STAGE, "wind stage must have a trivial pattern")
-        if self.knot is not None and self.kind is not _SWALLOW:
-            bad(ViolationKind.MALFORMED_STAGE, f"{self.kind.value} stage takes no knot; only swallow does")
+                bad((_MALFORMED, "wind stage must have a trivial pattern"))
+        if knot is not None and kind is not _SWALLOW:
+            bad((_MALFORMED, f"{kind.value} stage takes no knot; only swallow does"))
 
-        if self.concentric and self.kind is _GENERIC:
-            if self.winding != 1 or not trivial_pattern:
-                bad(
-                    ViolationKind.CONCENTRICITY_CONTRACT,
-                    "a concentric stage needs winding 1 and a trivial pattern",
-                )
+        if concentric and kind is _GENERIC and (w != 1 or not trivial_pattern):
+            bad((_CONTRACT, "a concentric stage needs winding 1 and a trivial pattern"))
 
-        if self.pattern_delta is not None and not self.pattern_delta.is_zero():
-            if abs(self.pattern_delta.evaluate_at_one()) != 1:
-                bad(
-                    ViolationKind.MALFORMED_STAGE,
-                    f"pattern polynomial has |value at 1| = "
-                    f"{_quoted(abs(self.pattern_delta.evaluate_at_one()))}, knots require 1",
-                )
-            if self.pattern_genus is not None and self.pattern_delta.breadth() > 2 * self.pattern_genus:
-                bad(
-                    ViolationKind.MALFORMED_STAGE,
-                    f"pattern polynomial breadth {_quoted(self.pattern_delta.breadth())} exceeds "
-                    f"twice the pattern genus {_quoted(self.pattern_genus)}",
-                )
-        if self.pattern_delta is not None and self.pattern_delta.is_zero():
-            bad(ViolationKind.MALFORMED_STAGE, "pattern polynomial cannot be zero")
+        if delta is not None:
+            if delta.is_zero():
+                bad((_MALFORMED, "pattern polynomial cannot be zero"))
+            else:
+                at_one = abs(delta.evaluate_at_one())
+                if at_one != 1:
+                    message = f"pattern polynomial has |value at 1| = {_quoted(at_one)}, knots require 1"
+                    bad((_MALFORMED, message))
+                if genus is not None and delta.breadth() > 2 * genus:
+                    bad((_MALFORMED, f"pattern polynomial breadth {_quoted(delta.breadth())} exceeds "
+                                     f"twice the pattern genus {_quoted(genus)}"))
         return tuple(out)
 
 
@@ -312,6 +304,9 @@ class ViolationKind(str, enum.Enum):
     MALFORMED_STAGE = "MalformedStage"
 
 
+_SCHUBERT, _CONTRACT, _MALFORMED = ViolationKind  # bound once, as the stage kinds are
+
+
 class Violation(value_type("Violation", "kind where message")):
     __slots__ = ()
 
@@ -346,44 +341,46 @@ class PreconditionError(ValueError):
         self.reason = reason
 
 
-def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, bool], str | None]:
+def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, bool] | None, tuple | None]:
     """Apply one stage to the genus chain, whose states are ``(bound, exact)``.
 
-    Returns the new state and, when a declared genus contradicts the chain,
-    a message describing the failed inequality.
+    Returns the new state, ``None`` once a multiplied bound passes its limit,
+    and the violation's kind and message there or where a declared genus
+    contradicts the chain.
     """
     bound, exact = state
+    kind, w, _, _, d, concentric, _ = stage
     plb, pexact, _ = stage._pattern
-    w = stage.winding
     # The inner torus sits in a ball, or the outer torus is exactly
     # unknotted; either way its core has the pattern's knot type.
     reset = w == 0 or (exact and bound == 0)
     if reset:
         out = (plb, pexact)
-    elif stage.concentric and not stage._faults:
+    elif concentric and not stage._faults:
         out = state
-    elif stage.kind is _SWALLOW:
+    elif kind is _SWALLOW:
         out = (bound + plb, exact and pexact)
     else:
         out = (w * bound + plb, False)
+        bits = out[0].bit_length()
+        if bits > _MAX_BOUND_BITS:
+            message = f"the genus chain bound reaches {bits} bits, past the limit of {_MAX_BOUND_BITS} bits"
+            return None, (_MALFORMED, message)
 
-    message: str | None = None
-    if stage.declared_genus is not None:
-        d = stage.declared_genus
-        if d < out[0]:
-            message = (
-                f"declared genus {_quoted(d)} violates g' >= w*g + g(T,T') "
-                f"= {_quoted(w)}*{_quoted(bound)} + {_quoted(plb)} = {_quoted(out[0])}"
-                if w >= 1 and not reset
-                else f"declared genus {_quoted(d)} is below the pattern genus {_quoted(out[0])}"
-            )
-        elif out[1] and d != out[0]:
-            message = (
-                f"declared genus {_quoted(d)} contradicts the exactly determined genus {_quoted(out[0])}"
-            )
-        else:
-            out = (d, True)
-    return out, message
+    if d is None:
+        return out, None
+    if d < out[0]:
+        message = (
+            f"declared genus {_quoted(d)} violates g' >= w*g + g(T,T') "
+            f"= {_quoted(w)}*{_quoted(bound)} + {_quoted(plb)} = {_quoted(out[0])}"
+            if w >= 1 and not reset
+            else f"declared genus {_quoted(d)} is below the pattern genus {_quoted(out[0])}"
+        )
+    elif out[1] and d != out[0]:
+        message = f"declared genus {_quoted(d)} contradicts the exactly determined genus {_quoted(out[0])}"
+    else:
+        return (d, True), None
+    return out, (_SCHUBERT, message)
 
 
 def _initial_state(tower: Tower) -> tuple[tuple[int, bool], list[Violation]]:
@@ -398,39 +395,44 @@ def _initial_state(tower: Tower) -> tuple[tuple[int, bool], list[Violation]]:
     else:
         return (d, True), []
     message = f"declared initial genus {_quoted(d)} {relation} {_quoted(g.lower)}"
-    return (g.lower, g.is_exact), [Violation(ViolationKind.MALFORMED_STAGE, "initial", message)]
+    return (g.lower, g.is_exact), [Violation(_MALFORMED, "initial", message)]
 
 
-def _unrolled(tower: Tower) -> Iterable[tuple[Stage, str]]:
-    for i, s in enumerate(tower.prefix):
-        yield s, f"prefix[{i}]"
-    for _ in range(2):
-        for j, s in enumerate(tower.cycle):
-            yield s, f"cycle[{j}] (periodic)"
+def _unrolled(tower: Tower) -> tuple[Stage, ...]:
+    """The stages the walk reads: the prefix, then the cycle twice."""
+    return tower.prefix + tower.cycle + tower.cycle
 
 
-def _stage_contract_violations(stage: Stage, where: str) -> list[Violation]:
-    return [Violation(kind, where, message) for kind, message in stage._faults]
+def _where(i: int, n: int, c: int) -> str:
+    """Where stage ``i`` of the unrolled tower of ``n`` prefix and ``c`` cycle stages is."""
+    return f"prefix[{i}]" if i < n else f"cycle[{(i - n) % c}] (periodic)"
+
+
+def _stage_contract_violations(stage: Stage, i: int, n: int, c: int) -> list[Violation]:
+    """Stage ``i``'s contract violations; the location is formatted only for one."""
+    if not stage._faults:
+        return []
+    return [Violation(kind, _where(i, n, c), message) for kind, message in stage._faults]
 
 
 def _walk(tower: Tower) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
     """The validation report, and the chain states before and after each stage."""
     state, violations = _initial_state(tower)
-    if not tower.cycle:
-        violations.append(
-            Violation(ViolationKind.MALFORMED_STAGE, "cycle", "cycle must be nonempty")
-        )
+    n, c = len(tower.prefix), len(tower.cycle)
+    if not c:
+        violations.append(Violation(_MALFORMED, "cycle", "cycle must be nonempty"))
     states = [state]
-    first_pass_end = len(tower.prefix) + len(tower.cycle)  # later stages repeat checked ones
     seen_chain: set[str] = set()
-    for i, (stage, where) in enumerate(_unrolled(tower)):
-        if i < first_pass_end:
-            violations.extend(_stage_contract_violations(stage, where))
-        state, message = _stage_transfer(state, stage)
+    for i, stage in enumerate(_unrolled(tower)):
+        if i < n + c:  # later stages repeat checked ones
+            violations += _stage_contract_violations(stage, i, n, c)
+        if state is None:  # past the bound limit the chain is not followed
+            continue
+        state, fault = _stage_transfer(state, stage)
         states.append(state)
-        if message is not None and where not in seen_chain:
+        if fault is not None and (where := _where(i, n, c)) not in seen_chain:
             seen_chain.add(where)
-            violations.append(Violation(ViolationKind.SCHUBERT_VIOLATION, where, message))
+            violations.append(Violation(fault[0], where, fault[1]))
     return ValidationReport(tuple(violations)), tuple(states)
 
 
@@ -1027,9 +1029,12 @@ _MAX_QUOTED = 60
 
 
 def _quoted(value) -> str:
-    """``repr(value)``, cut and marked as cut when longer than ``_MAX_QUOTED``,
-    so that a message about a large value stays one short line."""
-    text = repr(value)
+    """``repr(value)``, cut and marked when longer than ``_MAX_QUOTED`` so that a
+    message stays one short line; an integer too long to print gives its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
     return text if len(text) <= _MAX_QUOTED else f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
 
 
@@ -1066,9 +1071,8 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
         kind = _STAGE_KINDS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"{where}: unknown stage kind {_quoted(name)}") from None
-    unknown = obj.keys() - _STAGE_FIELDS
-    if unknown:
-        raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(unknown))}")
+    if not obj.keys() <= _STAGE_FIELDS:
+        raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(obj.keys() - _STAGE_FIELDS))}")
 
     knot = _field(obj, "knot", where, str, ... if kind is _SWALLOW else None, parse_knot)
     defaults = _STAGE_DEFAULTS[kind]
@@ -1084,7 +1088,7 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
         knot,
     )
     if kind is not _GENERIC and stage._faults:
-        raise InvalidTowerError(ValidationReport(tuple(_stage_contract_violations(stage, where))))
+        raise InvalidTowerError(ValidationReport(tuple(Violation(k, where, m) for k, m in stage._faults)))
     return stage
 
 

@@ -171,8 +171,7 @@ def test_criterion_8_consistency_property_suite():
         towers = random_valid_towers(seed=20260809, count=1000)
         for t in towers:
             states = t._states
-            stages = list(_unrolled(t))
-            for (stage, _w), (before, _), (after, _) in zip(stages, states, states[1:]):
+            for stage, (before, _), (after, _) in zip(_unrolled(t), states, states[1:]):
                 if stage.winding >= 1:
                     assert after >= before, t
 

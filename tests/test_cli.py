@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import pd_text, torus_2_pd
 from toroidal.catalog import CATALOG_DIR_ENV
 from toroidal.cli import main
+from toroidal.knots import Torus
 from toroidal.laurent import LaurentPoly
+from toroidal.towers import Tower, core_parallel, tower_to_dict, wind
 
 GOLDEN = Path(__file__).parent / "golden"
 CATALOG_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -675,3 +677,27 @@ def test_long_integers_are_quoted_cut(tmp_path, doc, problem):
     code, out, err = run(["tower", "report", _input_file(tmp_path, doc)])
     assert code == 2 and out == "" and problem in err and "... (4000 characters)" in err
     assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
+_BOUND_LINE = "prefix[349]: MalformedStage: the genus chain bound reaches 14001 bits, past the limit of 14000 bits"
+
+
+@pytest.mark.parametrize("extra", [(), (wind(2, declared_genus=5),)], ids=["bound", "declared-genus-after-it"])
+def test_a_chain_bound_past_its_limit_is_refused(tmp_path, extra):
+    # 400 windings of 2^40 over a trefoil: the bound passes 2^14000, whose
+    # decimal form would pass Python's 4,300-digit conversion limit.  The
+    # chain is not followed past it, so a declaration after it goes unread.
+    t = Tower("big", Torus(2, 3), prefix=(wind(2**40),) * 400 + extra, cycle=(core_parallel(),))
+    code, out, err = run(["tower", "report", _input_file(tmp_path, json.dumps(tower_to_dict(t)))])
+    assert (code, out, err) == (2, "", f"invalid tower:\n{_BOUND_LINE}\n") and len(_BOUND_LINE) < 300
+
+
+def test_a_long_chain_past_the_bound_limit_is_refused_in_linear_time(tmp_path):
+    # 4 * 10^4 windings of 2^40: followed to the end, the bound would reach
+    # 1.6 million bits after about 7 s of multiplying ever longer integers.
+    doc = {"initial": "torus(2,3)", "prefix": [{"kind": "wind", "w": 2**40}] * 40_000,
+           "cycle": [{"kind": "core_parallel"}]}
+    start = time.perf_counter()
+    code, out, err = run(["tower", "report", _input_file(tmp_path, json.dumps(doc))])
+    assert time.perf_counter() - start < 3
+    assert (code, out, err) == (2, "", f"invalid tower:\n{_BOUND_LINE}\n")

@@ -123,6 +123,61 @@ def test_knot_parse_errors_are_exact():
         assert str(exc.value) == message, text
 
 
+_SPACES = st.sampled_from(["", " ", "  ", "\t", " \n"])
+
+
+@st.composite
+def _knot_texts(draw, depth=0):
+    """A random knot expression's text, with random whitespace, and the
+    expression itself, or ``None`` where some torus parameters are invalid."""
+    def ws() -> str:
+        return draw(_SPACES)
+
+    roll = draw(st.integers(0, 3 if depth < 2 else 2))
+    if roll == 0:
+        return f"{ws()}unknot{ws()}", UNKNOT
+    if roll == 1:
+        p, q = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        try:
+            k = Torus(p, q)
+        except ValueError:
+            k = None
+        return f"{ws()}torus({ws()}{p}{ws()},{ws()}{q}{ws()}){ws()}", k
+    if roll == 2:
+        name = draw(st.sampled_from(sorted(TABLE_KNOTS)))
+        return f"{ws()}table({ws()}{name}{ws()}){ws()}", TABLE_KNOTS[name]
+    parts = [draw(_knot_texts(depth + 1)) for _ in range(draw(st.integers(1, 3)))]
+    knots = tuple(k for _, k in parts)
+    text = f"{ws()}sum({';'.join(t for t, _ in parts)}){ws()}"
+    return text, None if any(k is None for k in knots) else Sum(knots)
+
+
+def _read(text: str):
+    try:
+        return parse_knot(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_knot_texts())
+@example((" torus( 5 , 2 ) ", Torus(5, 2)))
+@example(("torus(2,4)", None))
+@example(("torus(1,3)", None))
+def test_knot_atoms_read_as_their_summand_walk(case):
+    # An atom returns at once from the parser and the knot readers; read as
+    # the summand of a sum, it goes through the summand walk.  Both agree,
+    # and a bad atom raises the same message either way.
+    text, k = case
+    parsed = _read(text)
+    assert parsed == _read(f"sum({text}; unknot)")
+    if k is not None:
+        walked = Sum((k, UNKNOT))
+        assert normalize(k) == normalize(walked) == parsed
+        assert genus_of_knot(k) == genus_of_knot(walked)
+    else:
+        assert parsed.startswith("torus knot parameters must be ")
+
+
 def test_long_flat_sum_parses_in_linear_time():
     # 200,000 summands, 2.4 MB: a parser that copies the rest of the input
     # at every token needs about 20 s here.

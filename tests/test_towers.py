@@ -119,6 +119,24 @@ def test_stage_contract_messages(stage, message):
     )
 
 
+def test_violation_locations():
+    # The walk names a stage only when it records a violation there: a
+    # contract fault in the prefix and one in the cycle, each reported for
+    # the first pass only, and a chain violation that first appears on the
+    # second cycle pass, once the swallowed trefoil has knotted the core.
+    t = tower(
+        UNKNOT,
+        prefix=[core_parallel(), wind(1), core_parallel(), Stage(StageKind.CORE_PARALLEL, 1, 0, ONE)],
+        cycle=[core_parallel(), wind(1, declared_genus=0), Stage(StageKind.SWALLOW, 1, 0, knot=TREFOIL)],
+    )
+    assert [str(v) for v in validate_tower(t).violations] == [
+        "prefix[3]: MalformedStage: core-parallel stage must be concentric",
+        "cycle[2] (periodic): MalformedStage: "
+        "swallow stage takes its pattern from its knot, not from pattern fields",
+        "cycle[1] (periodic): SchubertViolation: declared genus 0 violates g' >= w*g + g(T,T') = 1*1 + 0 = 1",
+    ]
+
+
 def test_swallow_stage_without_a_knot_is_refused_before_its_summands_are_read():
     t = tower(UNKNOT, cycle=[Stage(StageKind.SWALLOW, 1)])
     with pytest.raises(InvalidTowerError, match="swallow stage carries no knot"):
@@ -708,6 +726,16 @@ def test_a_bad_value_is_quoted_in_full_only_when_short():
     )
     long = message(list(range(200_000)))
     assert long.endswith(" got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1... (1488890 characters)")
+
+
+def test_an_integer_too_long_to_print_is_quoted_by_its_bit_length():
+    # Torus parameters of 2,201 digits give a genus of about 4,400 digits,
+    # past Python's 4,300-digit limit for printing an integer.
+    p = 10**2200
+    t = tower(UNKNOT, prefix=[swallow(Torus(p + 1, p + 2), declared_genus=5)])
+    assert str(validate_tower(t)) == (
+        "prefix[0]: SchubertViolation: declared genus 5 is below the pattern genus an integer of 14616 bits"
+    )
     doc = {"initial": "unknot", "cycle": [{"kind": "wind", "w": 2, **{f"f{i}": 0 for i in range(10**4)}}]}
     with pytest.raises(ValueError, match=r"^cycle\[0\]: unknown stage fields \['f0', 'f1', .*characters\)$"):
         tower_from_dict(doc)
@@ -888,8 +916,7 @@ def test_second_cycle_pass_ends_where_the_first_did():
 
 def _assert_classifiers_consistent(t: Tower) -> None:
     states = t._states
-    stages = list(_unrolled(t))
-    for (stage, _w), (before, _), (after, _) in zip(stages, states, states[1:]):
+    for stage, (before, _), (after, _) in zip(_unrolled(t), states, states[1:]):
         if stage.winding >= 1:
             assert after >= before, (t, stage)
 
