@@ -17,14 +17,20 @@ counterclockwise starting from the incoming under-strand::
             ^
             a
 
-A code is accepted when three rules hold, with ``x + 1`` taken mod ``2n``:
+A code is accepted when four rules hold, with ``x + 1`` taken mod ``2n``:
 (1) the under-strand enters at ``a`` and leaves at ``c = a + 1``;
 (2) the over-strand runs from whichever of ``b``, ``d`` is ``x`` to ``x + 1``;
 (3) the ``2n`` incoming edges, ``a`` and the over-strand's ``x`` at each
-crossing, are exactly ``1..2n``.  Each strand leaves on the successor of
-the edge it enters, so the edges then form the one cycle ``1 -> 2 -> ...
--> 2n -> 1``: every label occurs twice, and links are rejected.  The sign
-of a crossing is ``+1`` when its over-strand runs ``d -> b``, else ``-1``.
+crossing, are exactly ``1..2n``;
+(4) the code has ``n + 2`` faces, where a face is an orbit of the step "go
+to the other end of this edge, then to the next slot counterclockwise".
+Each strand leaves on the successor of the edge it enters, so under rules
+1-3 the edges form the one cycle ``1 -> 2 -> ... -> 2n -> 1``: every label
+occurs twice, and links are rejected.  The diagram's graph is then
+connected, with ``n`` vertices and ``2n`` edges, so by Euler's formula its
+counterclockwise orders embed in the plane exactly when rule 4 holds; codes
+of virtual knots are rejected.  The sign of a crossing is ``+1`` when its
+over-strand runs ``d -> b``, else ``-1``.
 
 Arcs and the Alexander matrix
 -----------------------------
@@ -210,6 +216,16 @@ def _build_diagram(quads: list[tuple[int, int, int, int]]) -> Diagram:
             f"incoming edges must be exactly 1..{2 * n} for {n} crossings: "
             "every edge enters one crossing"
         )
+    # Rule 4: slot 4i + k is place k of crossing i; sorting by label puts the
+    # two slots of each edge side by side.
+    labels = [label for quad in quads for label in quad]
+    ends = iter(sorted(range(4 * n), key=labels.__getitem__))
+    step = [0] * (4 * n)  # to the edge's other end, then on to the next slot counterclockwise
+    for s, t in zip(ends, ends):
+        step[s], step[t] = t - t % 4 + (t + 1) % 4, s - s % 4 + (s + 1) % 4
+    faces = _cycle_count(step)
+    if faces != n + 2:
+        raise PDValidationError(f"the code has {faces} faces, not n + 2 = {n + 2}: it is not planar")
 
     # Edges break into Wirtinger arcs at incoming under-strands.
     under_in = set(ins[:n])
@@ -363,20 +379,24 @@ def seifert_circle_count(d: Diagram) -> int:
     """Number of circles produced by the oriented smoothing of every crossing."""
     if d.n == 0:
         return 1
-    nxt: dict[int, int] = {}
+    step = [0] * (2 * d.n)  # edge e - 1 to the edge that follows it on its circle, less 1
     for c in d.crossings:
-        nxt[c.a] = c.over_out
-        nxt[c.over_in] = c.c
-    seen: set[int] = set()
-    circles = 0
-    for e in nxt:
-        if e in seen:
-            continue
-        circles += 1
-        while e not in seen:
-            seen.add(e)
-            e = nxt[e]
-    return circles
+        step[c.a - 1] = c.over_out - 1
+        step[c.over_in - 1] = c.c - 1
+    return _cycle_count(step)
+
+
+def _cycle_count(step: list[int]) -> int:
+    """Number of cycles of the permutation ``i -> step[i]`` of ``0..len(step)-1``."""
+    seen = [False] * len(step)
+    cycles = 0
+    for i in range(len(step)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = step[i]
+    return cycles
 
 
 def seifert_genus_upper(d: Diagram) -> int:

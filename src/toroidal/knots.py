@@ -17,7 +17,8 @@ Text form (round-trippable, parsed by :func:`parse_knot`):
 
     expr := "unknot" | "torus(p,q)" | "sum(e1; e2; ...)" | "table(name)"
 
-``sum(`` nests at most 100 levels deep.
+``sum(`` nests at most 100 levels deep, and a torus parameter has at most
+1,000 digits.
 """
 
 from __future__ import annotations
@@ -304,6 +305,10 @@ _SPACE = re.compile(r"\s*")
 # Parsing recurses once per ``sum(`` level; the cap keeps deep input a
 # ValueError.  It costs nothing, since normalizing flattens sums.
 _MAX_NESTING = 100
+# Most digits of a torus parameter: a genus then has at most 2,000
+# digits, so genera, sums and chain bounds stay printable (Python prints at
+# most 4,300 digits).
+_MAX_TORUS_DIGITS = 1000
 
 
 def parse_knot(text: str) -> KnotExpr:
@@ -320,7 +325,11 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
     rather than slicing keeps a long flat ``sum(`` linear."""
     m = _TORUS_RE.match(text, pos)  # the commonest atom, leading whitespace and all
     if m:
-        return Torus(int(m[1]), int(m[2])), m.end()
+        p, q = m.groups()
+        if len(p) > _MAX_TORUS_DIGITS or len(q) > _MAX_TORUS_DIGITS:
+            raise ValueError(f"torus parameter of {max(len(p), len(q))} digits exceeds the limit of "
+                             f"{_MAX_TORUS_DIGITS} digits")
+        return Torus(int(p), int(q)), m.end()
     pos = _SPACE.match(text, pos).end()
     if text.startswith("unknot", pos):
         return UNKNOT, pos + len("unknot")

@@ -80,21 +80,11 @@ def render_json(report: dict) -> str:
 
 def render_text(report: dict) -> str:
     lines = [f"tower: {report['name']}"]
-    order = [
-        ("h1", "h1"),
-        ("steinitz", "steinitz"),
-        ("genus", "genus"),
-        ("unknotted", "unknotted"),
-        ("alexander", "alexander"),
-        ("homeo_verdict", "homeo verdict"),
-        ("flow_verdict", "flow verdict"),
-        ("r", "r"),
-    ]
-    for key, label in order:
+    for key in ("h1", "steinitz", "genus", "unknotted", "alexander", "homeo_verdict", "flow_verdict", "r"):
         value = report[key]
         if value is None:
             value = f"(none: {report.get(key + '_status', 'n/a')})" if key == "alexander" else "-"
-        lines.append(f"  {label:<14} {value}")
+        lines.append(f"  {key.replace('_', ' '):<14} {value}")
     for key in ("genus_justification", "homeo_justification", "flow_justification"):
         lines.append(f"  [{key.replace('_', ' ')}] {report[key]}")
     if report.get("flow_note"):

@@ -44,6 +44,9 @@ report and the chain states), its cohomology profile and its genus.  Reading
 the states of an invalid tower raises :class:`InvalidTowerError` and keeps
 nothing.  The public classifiers are the only readers of these facts, and a
 report calls them, so each fact is derived once per tower value.
+
+A tower file's stage is read over its kind's row of defaults, and null is
+accepted in a field exactly where that default is null, and means it.
 """
 
 from __future__ import annotations
@@ -130,13 +133,14 @@ _CORE_PARALLEL, _SWALLOW, _WIND, _GENERIC = StageKind
 # The kinds by their JSON names, for the loader.
 _STAGE_KINDS = {kind.value: kind for kind in StageKind}
 
-# Each kind's field defaults, read by the stage constructors and the JSON
-# loader; ``wind`` and ``generic`` have no default winding.
-_STAGE_DEFAULTS: dict[StageKind, dict] = {
-    _CORE_PARALLEL: {"winding": 1, "pattern_genus": 0, "pattern_delta": ONE, "concentric": True},
-    _SWALLOW: {"winding": 1},
-    _WIND: {"pattern_genus": 0, "pattern_delta": ONE},
-    _GENERIC: {},
+# Each kind's row over the fields after ``kind``, in ``Stage``'s order: its
+# constructor's fixed values and the loader's defaults; ``...`` marks a required field.
+_STAGE_DEFAULTS: dict[StageKind, tuple] = {
+    #              winding, pattern_genus, pattern_delta, declared_genus, concentric, knot
+    _CORE_PARALLEL: (1, 0, ONE, None, True, None),
+    _SWALLOW: (1, None, None, None, False, ...),
+    _WIND: (..., 0, ONE, None, False, None),
+    _GENERIC: (..., None, None, None, False, None),
 }
 
 # Largest winding a stage may have; the cohomology factors each distinct
@@ -236,7 +240,7 @@ class Stage(value_type(
 
 def core_parallel() -> Stage:
     """A concentric parallel copy: winding one, trivial pattern."""
-    return Stage(_CORE_PARALLEL, **_STAGE_DEFAULTS[_CORE_PARALLEL])
+    return Stage(_CORE_PARALLEL, *_STAGE_DEFAULTS[_CORE_PARALLEL])
 
 
 def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
@@ -244,13 +248,13 @@ def swallow(knot: KnotExpr, declared_genus: int | None = None) -> Stage:
 
     The stage stores only the knot; its invariants are computed when read.
     """
-    defaults = _STAGE_DEFAULTS[_SWALLOW]
-    return Stage(_SWALLOW, **defaults, declared_genus=declared_genus, knot=normalize(knot))
+    row = Stage(_SWALLOW, *_STAGE_DEFAULTS[_SWALLOW])
+    return row._replace(declared_genus=declared_genus, knot=normalize(knot))
 
 
 def wind(w: int, declared_genus: int | None = None) -> Stage:
     """Wind ``w`` times with a trivial pattern, the solenoid stage."""
-    return Stage(_WIND, w, **_STAGE_DEFAULTS[_WIND], declared_genus=declared_genus)
+    return Stage(_WIND, *_STAGE_DEFAULTS[_WIND])._replace(winding=w, declared_genus=declared_genus)
 
 
 def generic(
@@ -1020,9 +1024,17 @@ def classify_by_r(
 
 
 _JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
-_STAGE_FIELDS = frozenset(
-    {"kind", "w", "knot", "pattern_genus", "pattern_delta", "declared_genus", "concentric"}
+# Each stage key after ``kind``, with its place in ``Stage``, JSON type and text
+# reader.  The loader reads the keys in this order and reports the first bad one.
+_STAGE_JSON = (
+    ("knot", 6, str, parse_knot),
+    ("w", 1, int, None),
+    ("pattern_delta", 3, str, parse_poly),
+    ("pattern_genus", 2, int, None),
+    ("declared_genus", 4, int, None),
+    ("concentric", 5, bool, None),
 )
+_STAGE_FIELDS = frozenset({"kind", *(key for key, *_ in _STAGE_JSON)})
 _TOWER_FIELDS = frozenset({"name", "initial", "initial_genus", "prefix", "cycle", "schema_version"})
 # Longest ``repr`` of a bad value that a message quotes in full.
 _MAX_QUOTED = 60
@@ -1058,7 +1070,7 @@ def _field(obj: dict, key: str, where: str, kind: type, default=..., parse=None)
 
 
 def _stage_from_dict(obj: dict, where: str) -> Stage:
-    """A stage from its JSON object: the given fields over the kind's defaults.
+    """A stage from its JSON object: the given fields over the kind's row.
 
     A ``core_parallel``, ``swallow`` or ``wind`` stage must meet its stage
     contract here, so pattern fields on a swallow stage and a knot on any
@@ -1074,35 +1086,22 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     if not obj.keys() <= _STAGE_FIELDS:
         raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(obj.keys() - _STAGE_FIELDS))}")
 
-    knot = _field(obj, "knot", where, str, ... if kind is _SWALLOW else None, parse_knot)
-    defaults = _STAGE_DEFAULTS[kind]
-    winding = _field(obj, "w", where, int, defaults.get("winding", ...))
-    delta = _field(obj, "pattern_delta", where, str, None, parse_poly)
-    stage = Stage(
-        kind,
-        winding,
-        _field(obj, "pattern_genus", where, int, defaults.get("pattern_genus")),
-        defaults.get("pattern_delta") if delta is None else delta,
-        _field(obj, "declared_genus", where, int, None),
-        _field(obj, "concentric", where, bool, defaults.get("concentric", False)),
-        knot,
-    )
+    fields = [kind, *_STAGE_DEFAULTS[kind]]
+    for key, place, json_type, parse in _STAGE_JSON:
+        if key in obj or fields[place] is ...:
+            fields[place] = _field(obj, key, where, json_type, fields[place], parse)
+    stage = tuple.__new__(Stage, fields)  # what Stage(*fields) does, one call fewer
     if kind is not _GENERIC and stage._faults:
         raise InvalidTowerError(ValidationReport(tuple(Violation(k, where, m) for k, m in stage._faults)))
     return stage
 
 
 def _stage_to_dict(stage: Stage) -> dict:
-    out: dict = {"kind": stage.kind.value, "w": stage.winding}
-    if stage.knot is not None:
-        out["knot"] = str(stage.knot)
-    if stage.pattern_genus is not None:
-        out["pattern_genus"] = stage.pattern_genus
-    if stage.pattern_delta is not None:
-        out["pattern_delta"] = str(stage.pattern_delta)
-    if stage.declared_genus is not None:
-        out["declared_genus"] = stage.declared_genus
-    out["concentric"] = stage.concentric
+    out: dict = {"kind": stage.kind.value}
+    for key, place, _, parse in _STAGE_JSON:
+        value = stage[place]
+        if value is not None:
+            out[key] = value if parse is None else str(value)
     return out
 
 

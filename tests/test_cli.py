@@ -529,6 +529,10 @@ _LONG_INTEGER = '{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % 
 _BAD_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 - t +"}]})
 _BAD_KNOT = json.dumps({"initial": "unknot", "cycle": [{"kind": "swallow", "knot": "torus(2,3) zzz"}]})
 _BAD_INITIAL = json.dumps({"initial": "torus(2,4)", "cycle": [{"kind": "core_parallel"}]})
+# Torus parameters of 2,201 digits: their genus would have about 4,400 digits.
+_HUGE_TORUS = f"torus({10**2200 + 1},{10**2200 + 2})"
+_HUGE_INITIAL = json.dumps({"initial": _HUGE_TORUS, "cycle": [{"kind": "core_parallel"}]})
+_HUGE_KNOT = json.dumps({"initial": "unknot", "cycle": [{"kind": "swallow", "knot": f"torus(2,{'1' * 5001})"}]})
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -540,8 +544,9 @@ _HOSTILE_FILES = [
 # Inputs whose message once named the wrong thing or had no bound: a long
 # bad value, a PD body that repeats its own prefix, a catalog file that is
 # not UTF-8, long unread knot text in an argument or a tower file, an
-# integer too long to convert, grammar errors in a tower file's fields and a
-# long mask.  A catalog command finds its file in the catalog directory.
+# integer too long to convert, grammar errors in a tower file's fields, a
+# long mask and torus parameters too long to read, in an argument or a tower
+# file.  A catalog command finds its file in the catalog directory.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
@@ -556,6 +561,11 @@ _BAD_VALUES = [
     (["tower", "report", _FILE], _BAD_INITIAL, "tower: 'initial': torus knot parameters must be coprime"),
     (["catalog", "report", "mask:" + "01" * 5 + "x" * 10**5], None,
      "mask must be a nonempty string of 0s and 1s, got '0101010101xxx"),
+    (["knot", "genus", _HUGE_TORUS], None, "torus parameter of 2201 digits exceeds the limit of 1000 digits"),
+    (["tower", "report", _FILE], _HUGE_INITIAL,
+     "tower: 'initial': torus parameter of 2201 digits exceeds the limit of 1000 digits"),
+    (["tower", "report", _FILE], _HUGE_KNOT,
+     "cycle[0]: 'knot': torus parameter of 5001 digits exceeds the limit of 1000 digits"),
 ]
 
 
@@ -621,6 +631,9 @@ _CLI_CASE = st.one_of(
 @example(case=_BAD_VALUES[8][:2], as_json=False)
 @example(case=_BAD_VALUES[9][:2], as_json=True)
 @example(case=_BAD_VALUES[10][:2], as_json=False)
+@example(case=_BAD_VALUES[11][:2], as_json=True)
+@example(case=_BAD_VALUES[12][:2], as_json=False)
+@example(case=_BAD_VALUES[13][:2], as_json=True)
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
     argv, content = case
     directory = None if content is None else tmp_path_factory.mktemp("fuzz")
@@ -646,7 +659,8 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
     "argv, content, problem",
     _BAD_VALUES,
     ids=["long-name", "pd-prefix", "catalog-bytes", "long-trailing-text", "long-table-name",
-         "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask"],
+         "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask",
+         "huge-torus", "huge-torus-initial", "huge-torus-knot"],
 )
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)

@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     braid_closure_quads,
@@ -163,6 +163,12 @@ def test_validation_errors():
 
 
 _LABELS = "incoming edges must be exactly 1..{} for {} crossings: every edge enters one crossing"
+_FACES = "the code has {} faces, not n + 2 = {}: it is not planar"
+# A mutated braid closure whose crossings' orders do not embed in the plane:
+# read as a diagram, its polynomial is not symmetric and its genus bounds fail
+# an internal check.
+_VIRTUAL_10 = ("PD[X[1,8,2,9],X[2,15,3,16],X[9,16,10,17],X[10,3,11,4],X[17,4,18,5],"
+               "X[18,11,19,12],X[5,12,6,13],X[6,19,7,20],X[20,13,1,14],X[14,7,15,8]]")
 
 # One row per raise site of the PD rules in the module docstring: the text
 # and the exact message.
@@ -179,6 +185,9 @@ PD_VALIDATION_ERRORS = [
     ("PD[X[1,4,2,9],X[3,6,4,1],X[5,2,6,3]]", _LABELS.format(6, 3)),
     # Rule 3: a crossing duplicated in place of another.
     ("PD[X[1,4,2,5],X[1,4,2,5],X[5,2,6,3]]", _LABELS.format(6, 3)),
+    # Rule 4: codes of virtual knots meet rules 1-3 but have too few faces.
+    ("PD[X[1,3,2,4],X[2,1,3,4]]", _FACES.format(2, 4)),
+    (_VIRTUAL_10, _FACES.format(10, 12)),
     (torus_2_pd(MAX_CROSSINGS + 1), "PD code has 101 crossings; the limit is 100"),
 ]
 
@@ -222,6 +231,7 @@ def _mutated_codes(draw):
 
 @settings(deadline=None)
 @given(_mutated_codes())
+@example(_VIRTUAL_10)
 def test_a_mutated_code_is_a_diagram_or_a_validation_error(text):
     try:
         d = parse_pd(text)
@@ -230,6 +240,8 @@ def test_a_mutated_code_is_a_diagram_or_a_validation_error(text):
     assert isinstance(d, Diagram) and len(d.edge_arc) == 2 * d.n
     assert sorted(label for c in d.crossings for label in c[:4]) == sorted(2 * list(range(1, 2 * d.n + 1)))
     genus_bounds(d)  # an accepted code meets every internal check
+    delta = alexander_from_diagram(d)
+    assert mirror(delta).canonical() == delta  # a knot's polynomial is symmetric
 
 
 def test_crossing_cap():

@@ -63,6 +63,16 @@ def test_genus_examples():
     assert genus_of_knot(Table("mystery")).upper is None
 
 
+def test_a_genus_pair_checks_its_bounds():
+    for lower, upper, message in [
+        (-1, None, "genus lower bound must be nonnegative"),
+        (3, 2, "genus upper bound below lower bound"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            KnotGenus(lower, upper)
+        assert str(exc.value) == message
+
+
 def test_alexander_examples():
     assert alexander_of_knot(UNKNOT) == parse_poly("1")
     assert alexander_of_knot(TREFOIL) == parse_poly("1 - t + t^2")
@@ -113,6 +123,10 @@ KNOT_SYNTAX_ERRORS = [
     ("torus(2,4)", "torus knot parameters must be coprime, got (2, 4)"),
     ("torus(1,3)", "torus knot parameters must be >= 2, got (1, 3)"),
     ("sum(" * 101, "knot expression nests sum(...) deeper than 100 levels"),
+    # Parameters are refused by their length, before they are converted.
+    ("torus(2," + "1" * 1001 + ")", "torus parameter of 1001 digits exceeds the limit of 1000 digits"),
+    ("sum(unknot; torus(" + "9" * 5001 + ",2))",
+     "torus parameter of 5001 digits exceeds the limit of 1000 digits"),
 ]
 
 
@@ -121,6 +135,14 @@ def test_knot_parse_errors_are_exact():
         with pytest.raises(ValueError) as exc:
             parse_knot(text)
         assert str(exc.value) == message, text
+
+
+def test_a_torus_parameter_of_the_longest_length_is_read():
+    q = 10**1000 - 1  # 1,000 digits
+    k = parse_knot(f"torus(2,{q})")
+    assert k == Torus(2, q) and genus_of_knot(k) == KnotGenus.exact(q // 2)
+    # The largest genus the grammar reads has 2,000 digits, so it prints.
+    assert len(str(genus_of_knot(parse_knot(f"torus({q - 1},{q})")))) == 2000
 
 
 _SPACES = st.sampled_from(["", " ", "  ", "\t", " \n"])

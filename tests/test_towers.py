@@ -630,10 +630,63 @@ def test_classify_by_r_truth_table():
 # -- JSON schema -----------------------------------------------------------------
 
 
+# Stages that carry a pattern polynomial, which the random towers do not.
+_DELTA_STAGES = (
+    generic(1, 1, parse_poly("1 - t + t^2")),
+    generic(2, None, parse_poly("1 - 3*t + t^2"), declared_genus=4),
+    generic(0, 0, ONE),
+    generic(1, 0, ONE, concentric=True),
+)
+
+
 def test_tower_json_round_trip():
-    for t in CAT.values():
-        again = tower_from_dict(tower_to_dict(t))
-        assert tower_to_dict(again) == tower_to_dict(t)
+    delta_tower = Tower("delta", TREFOIL, _DELTA_STAGES, (core_parallel(), wind(3)))
+    towers = [*CAT.values(), delta_tower, *random_valid_towers(5, 200)]
+    for t in towers:
+        doc = tower_to_dict(t)
+        again = tower_from_dict(json.loads(json.dumps(doc)))
+        assert again == t and tower_to_dict(again) == doc
+    assert [s["pattern_delta"] for s in tower_to_dict(delta_tower)["prefix"]] == [
+        "1 - t + t^2", "1 - 3*t + t^2", "1", "1"
+    ]
+
+
+def test_a_stage_reads_only_the_fields_it_is_given(monkeypatch):
+    import toroidal.towers as towers
+
+    calls = []
+    read = towers._field
+    monkeypatch.setattr(towers, "_field", lambda obj, key, *rest: calls.append(key) or read(obj, key, *rest))
+    stage = towers._stage_from_dict({"kind": "swallow", "knot": "torus(2,3)"}, "cycle[0]")
+    assert stage == swallow(TREFOIL) and calls == ["knot"]
+    # A required field that is missing is read too, to name it.
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^cycle\[0\]: missing field 'w'$"):
+        towers._stage_from_dict({"kind": "wind", "declared_genus": 0}, "cycle[0]")
+    assert calls == ["w"]
+
+
+def test_null_passes_exactly_where_the_kind_default_is_null():
+    def stage(**fields):
+        return tower_from_dict({"initial": "unknot", "cycle": [fields]}).cycle[0]
+
+    # Where the kind's default is null, null means that default.
+    assert stage(kind="generic", w=1, pattern_delta=None) == stage(kind="generic", w=1) == generic(1)
+    assert stage(kind="swallow", knot="torus(2,3)", pattern_delta=None) == swallow(TREFOIL)
+    assert stage(kind="swallow", knot="torus(2,3)", pattern_genus=None) == swallow(TREFOIL)
+    assert stage(kind="wind", w=2, knot=None, declared_genus=None) == wind(2)
+    # Where it is not, null is refused as the wrong type.
+    for fields, key, kind in [
+        ({"kind": "core_parallel", "pattern_delta": None}, "pattern_delta", "a string"),
+        ({"kind": "wind", "w": 2, "pattern_delta": None}, "pattern_delta", "a string"),
+        ({"kind": "core_parallel", "pattern_genus": None}, "pattern_genus", "an integer"),
+        ({"kind": "wind", "w": None}, "w", "an integer"),
+        ({"kind": "swallow", "knot": None}, "knot", "a string"),
+        ({"kind": "generic", "w": 1, "concentric": None}, "concentric", "true or false"),
+    ]:
+        message = f"cycle[0]: '{key}' must be {kind}, got None"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stage(**fields)
 
 
 def test_tower_keeps_its_initial_knot_in_normal_form():
