@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 from .knots import Torus, UNKNOT
+from .laurent import quoted
 from .towers import Tower, core_parallel, generic, load_tower, swallow, wind
 
 __all__ = ["built_in_towers", "mask_tower", "catalog", "resolve", "CATALOG_DIR_ENV"]
@@ -64,7 +65,7 @@ def mask_tower(mask: str, prefix_len: int = 8) -> Tower:
     knot repeats as the cycle, standing in for the remaining tail.
     """
     if not mask or any(ch not in "01" for ch in mask):
-        raise ValueError(f"mask must be a nonempty string of 0s and 1s, got {mask[:40]!r}")
+        raise ValueError(f"mask must be a nonempty string of 0s and 1s, got {quoted(mask)}")
     if "1" not in mask:
         raise ValueError("mask must select at least one knot")
     selected: list[Torus] = []
@@ -100,5 +101,5 @@ def resolve(name: str) -> Tower:
     towers = catalog()
     if name not in towers:
         known = ", ".join(sorted(towers))
-        raise ValueError(f"unknown catalog tower {name!r}; known: {known}, mask:<bits>")
+        raise ValueError(f"unknown catalog tower {quoted(name)}; known: {known}, mask:<bits>")
     return towers[name]

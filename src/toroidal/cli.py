@@ -144,13 +144,19 @@ def _run_towers(args, out, err) -> int:
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
+    from .laurent import quoted  # the one rule by which a message shows a value it was given
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        err.write(f"usage error: {exc}\n")
+        message = str(exc)  # argparse echoes an argument whole, or what follows its "=" or its flag
+        for echo in (part for token in argv for part in (token, token.partition("=")[2], token[2:])):
+            if quoted(echo) != repr(echo):
+                message = message.replace(repr(echo) if repr(echo) in message else echo, quoted(echo))
+        err.write(f"usage error: {message}\n")
         return 1
 
     try:
@@ -160,7 +166,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             return _run_diagram(args, out)
         return _run_towers(args, out, err)
     except (OSError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
+        name = getattr(exc, "filename", None)  # an OSError's file name is input too
+        err.write(f"error: {str(exc).replace(repr(name), quoted(name))}\n")
         return 2
 
 

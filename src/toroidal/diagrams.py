@@ -73,7 +73,7 @@ import re
 from bisect import bisect_left
 from math import isqrt
 
-from .laurent import ONE, LaurentPoly, kept_fact, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, quoted, value_type
 
 __all__ = [
     "MAX_CROSSINGS",
@@ -145,7 +145,8 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
 # to about 1.3 n^2 bits; if its rows fill in, it makes about n^3/3 products.
 MAX_CROSSINGS = 100
 
-_X = r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]"
+# A label past 2 * MAX_CROSSINGS breaks rule 3, so a label of four digits is a syntax error.
+_X = r"X\[\s*(\d{1,3})\s*,\s*(\d{1,3})\s*,\s*(\d{1,3})\s*,\s*(\d{1,3})\s*\]"
 _X_RE = re.compile(_X)
 # The longest run of separators and crossings: it ends at the first bad token.
 _PD_BODY = re.compile(rf"(?:[\s,]+|{_X})*")
@@ -170,7 +171,7 @@ def parse_pd(text: str) -> Diagram:
     if pos < len(body):
         # The body starts after the text's and the bracket's leading whitespace.
         start = len(text) - len(text.lstrip()) + len("PD[") + len(inner) - len(inner.lstrip())
-        raise PDSyntaxError(f"expected X[a,b,c,d], got {body[pos:pos + 12]!r}", start + pos)
+        raise PDSyntaxError(f"expected X[a,b,c,d], got {quoted(body[pos:])}", start + pos)
     quads = [tuple(map(int, quad)) for quad in _X_RE.findall(body)]
     if len(quads) > MAX_CROSSINGS:
         raise PDValidationError(
@@ -191,7 +192,7 @@ def _build_diagram(quads: list[tuple[int, int, int, int]]) -> Diagram:
     for a, b, c, d in quads:
         if c != succ(a):
             raise PDValidationError(
-                f"crossing X[{a},{b},{c},{d}]: under-strand must leave at {succ(a)}; "
+                f"crossing X[{','.join(map(quoted, (a, b, c, d)))}]: under-strand must leave at {succ(a)}; "
                 "labels are not consecutive along a single knot (links are rejected)"
             )
         if d == succ(b) and b == succ(d):
@@ -204,8 +205,8 @@ def _build_diagram(quads: list[tuple[int, int, int, int]]) -> Diagram:
             sign = 1
         else:
             raise PDValidationError(
-                f"crossing X[{a},{b},{c},{d}]: over-strand labels {b},{d} are not "
-                "consecutive along a single knot (links are rejected)"
+                f"crossing X[{','.join(map(quoted, (a, b, c, d)))}]: over-strand labels "
+                f"{quoted(b)},{quoted(d)} are not consecutive along a single knot (links are rejected)"
             )
         crossings.append(Crossing(a, b, c, d, sign))
 

@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Iterable
 from math import gcd
 
-from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly, value_type
+from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly, quoted, value_type
 
 __all__ = [
     "KnotExpr",
@@ -73,9 +73,9 @@ class Torus(value_type("Torus", "p q")):
 
     def __new__(cls, p: int, q: int) -> Torus:
         if p < 2 or q < 2:
-            raise ValueError(f"torus knot parameters must be >= 2, got ({p}, {q})")
+            raise ValueError(f"torus knot parameters must be >= 2, got ({quoted(p)}, {quoted(q)})")
         if gcd(p, q) != 1:
-            raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
+            raise ValueError(f"torus knot parameters must be coprime, got ({quoted(p)}, {quoted(q)})")
         return tuple.__new__(cls, (p, q))  # what the named tuple's __new__ does, one call fewer
 
     def __str__(self) -> str:
@@ -109,9 +109,9 @@ class Table(value_type("Table", "name genus delta prime", (None, None, False))):
     def __new__(cls, name: str, genus: int | None = None, delta: LaurentPoly | None = None,
                 prime: bool = False) -> Table:
         if genus is not None and genus < 0:
-            raise ValueError(f"table knot {name!r} declares negative genus {genus}")
+            raise ValueError(f"table knot {quoted(name)} declares negative genus {quoted(genus)}")
         if prime and genus == 0:
-            raise ValueError(f"table knot {name!r} is flagged prime but declares genus 0")
+            raise ValueError(f"table knot {quoted(name)} is flagged prime but declares genus 0")
         return super().__new__(cls, name, genus, delta, prime)
 
     def __str__(self) -> str:
@@ -271,10 +271,10 @@ def _knot_factors(k: KnotExpr) -> list[LaurentPoly]:
     parts = _summands(k)
     genus = sum(_summand_genus(s) or 0 for s in parts)
     if genus > MAX_GENUS:
-        raise ValueError(f"knot genus {genus} exceeds the limit {MAX_GENUS}")
+        raise ValueError(f"knot genus {quoted(genus)} exceeds the limit {MAX_GENUS}")
     for part in parts:
         if isinstance(part, Table) and part.delta is None:
-            raise InvariantUnavailable(f"table knot {part.name!r} has no declared Alexander polynomial")
+            raise InvariantUnavailable(f"table knot {quoted(part.name)} has no declared Alexander polynomial")
     return [s.delta if isinstance(s, Table) else _torus_alexander(s.p, s.q) for s in parts] or [ONE]
 
 
@@ -287,7 +287,8 @@ def prime_summands(k: KnotExpr) -> Counter[KnotExpr]:
     parts = _summands(k)
     for part in parts:
         if isinstance(part, Table) and not part.prime:
-            raise NotDecomposable(f"table knot {part.name!r} is not flagged prime and carries no decomposition")
+            raise NotDecomposable(f"table knot {quoted(part.name)} is not flagged prime "
+                                  "and carries no decomposition")
     return Counter(parts)
 
 
@@ -316,7 +317,7 @@ def parse_knot(text: str) -> KnotExpr:
     text = text.strip()
     expr, pos = _parse_expr(text, 0)
     if pos < len(text):  # the stripped text ends in no whitespace
-        raise ValueError(f"trailing input in knot expression: {text[pos:].strip()[:40]!r}")
+        raise ValueError(f"trailing input in knot expression: {quoted(text[pos:].strip())}")
     return normalize(expr)
 
 
@@ -337,7 +338,7 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
     if m:
         name = m.group(1)
         if name not in TABLE_KNOTS:
-            raise ValueError(f"unknown table knot {name[:40]!r}")
+            raise ValueError(f"unknown table knot {quoted(name)}")
         return TABLE_KNOTS[name], m.end()
     if text.startswith("sum(", pos):
         if depth == _MAX_NESTING:
@@ -353,5 +354,5 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
                 continue
             if text.startswith(")", pos):
                 return Sum(tuple(parts)), pos + 1
-            raise ValueError(f"expected ';' or ')' in sum(...), got {text[pos:pos + 10]!r}")
-    raise ValueError(f"malformed knot expression near {text[pos:pos + 20]!r}")
+            raise ValueError(f"expected ';' or ')' in sum(...), got {quoted(text[pos:])}")
+    raise ValueError(f"malformed knot expression near {quoted(text[pos:])}")

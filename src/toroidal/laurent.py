@@ -18,7 +18,8 @@ The text form accepted by :func:`parse_poly` and produced by ``str()`` is
     tpow  :=  "t" [ "^" SIGNED_INT ]
 
 with terms printed in ascending exponent order, e.g. ``1 - t + t^2`` or
-``t^-1 + t``.  Whitespace is ignored when parsing.
+``t^-1 + t``.  Whitespace is ignored when parsing.  Every message of the
+package shows a value it was given through :func:`quoted`, the one cut.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact", "quoted"]
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -84,6 +85,19 @@ class kept_fact:
             return self
         value = instance.__dict__[self.name] = self.fact(instance)
         return value
+
+
+_MAX_QUOTED = 60
+
+
+def quoted(value) -> str:
+    """``repr(value)``, cut and marked when longer than ``_MAX_QUOTED`` so that a
+    message stays one short line; an integer too long to print gives its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+    return text if len(text) <= _MAX_QUOTED else text[:_MAX_QUOTED] + f"... ({len(text)} characters)"
 
 
 # Most pairs of terms one computation multiplies: one product, or all the
@@ -256,7 +270,7 @@ def parse_poly(text: str) -> LaurentPoly:
     """
     pos = _LEXED.match(text).end()
     if pos < len(text):
-        raise ValueError(f"polynomial syntax error at position {pos}: {text[pos:pos + 10]!r}")
+        raise ValueError(f"polynomial syntax error at position {pos}: {quoted(text[pos:])}")
     if not text.strip():
         raise ValueError("empty polynomial text")
     terms: dict[int, int] = {0: 0}
@@ -282,6 +296,6 @@ def parse_poly(text: str) -> LaurentPoly:
         if pos == len(text):
             return LaurentPoly(terms)
         if text[pos] not in "+-":
-            why = f"expected '+' or '-', got {_TOKEN.match(text, pos)[0]!r}"
+            why = f"expected '+' or '-', got {quoted(_TOKEN.match(text, pos)[0])}"
             break
     raise ValueError(f"polynomial syntax error at position {pos}: {why}")

@@ -71,7 +71,7 @@ from .knots import (
     prime_summands,
     satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, quoted, value_type
 
 __all__ = [
     "StageKind",
@@ -189,13 +189,13 @@ class Stage(value_type(
         bad = out.append
 
         if w < 0:
-            bad((_MALFORMED, f"negative winding {_quoted(w)}"))
+            bad((_MALFORMED, f"negative winding {quoted(w)}"))
         if w > _MAX_WINDING:
-            bad((_MALFORMED, f"winding {_quoted(w)} exceeds the limit 2^40"))
+            bad((_MALFORMED, f"winding {quoted(w)} exceeds the limit 2^40"))
         if genus is not None and genus < 0:
-            bad((_MALFORMED, f"negative pattern genus {_quoted(genus)}"))
+            bad((_MALFORMED, f"negative pattern genus {quoted(genus)}"))
         if declared is not None and declared < 0:
-            bad((_MALFORMED, f"negative declared genus {_quoted(declared)}"))
+            bad((_MALFORMED, f"negative declared genus {quoted(declared)}"))
 
         if concentric and kind in (_SWALLOW, _WIND):
             bad((_CONTRACT, f"{kind.value} stage cannot be concentric"))
@@ -230,11 +230,11 @@ class Stage(value_type(
             else:
                 at_one = abs(delta.evaluate_at_one())
                 if at_one != 1:
-                    message = f"pattern polynomial has |value at 1| = {_quoted(at_one)}, knots require 1"
+                    message = f"pattern polynomial has |value at 1| = {quoted(at_one)}, knots require 1"
                     bad((_MALFORMED, message))
                 if genus is not None and delta.breadth() > 2 * genus:
-                    bad((_MALFORMED, f"pattern polynomial breadth {_quoted(delta.breadth())} exceeds "
-                                     f"twice the pattern genus {_quoted(genus)}"))
+                    bad((_MALFORMED, f"pattern polynomial breadth {quoted(delta.breadth())} exceeds "
+                                     f"twice the pattern genus {quoted(genus)}"))
         return tuple(out)
 
 
@@ -375,13 +375,13 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
         return out, None
     if d < out[0]:
         message = (
-            f"declared genus {_quoted(d)} violates g' >= w*g + g(T,T') "
-            f"= {_quoted(w)}*{_quoted(bound)} + {_quoted(plb)} = {_quoted(out[0])}"
+            f"declared genus {quoted(d)} violates g' >= w*g + g(T,T') "
+            f"= {quoted(w)}*{quoted(bound)} + {quoted(plb)} = {quoted(out[0])}"
             if w >= 1 and not reset
-            else f"declared genus {_quoted(d)} is below the pattern genus {_quoted(out[0])}"
+            else f"declared genus {quoted(d)} is below the pattern genus {quoted(out[0])}"
         )
     elif out[1] and d != out[0]:
-        message = f"declared genus {_quoted(d)} contradicts the exactly determined genus {_quoted(out[0])}"
+        message = f"declared genus {quoted(d)} contradicts the exactly determined genus {quoted(out[0])}"
     else:
         return (d, True), None
     return out, (_SCHUBERT, message)
@@ -398,7 +398,7 @@ def _initial_state(tower: Tower) -> tuple[tuple[int, bool], list[Violation]]:
         relation = "is below the provable lower bound"
     else:
         return (d, True), []
-    message = f"declared initial genus {_quoted(d)} {relation} {_quoted(g.lower)}"
+    message = f"declared initial genus {quoted(d)} {relation} {quoted(g.lower)}"
     return (g.lower, g.is_exact), [Violation(_MALFORMED, "initial", message)]
 
 
@@ -745,7 +745,7 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
         )
     if genus.value > MAX_GENUS:
         raise ValueError(
-            f"the stabilized polynomial has genus {genus.value}, "
+            f"the stabilized polynomial has genus {quoted(genus.value)}, "
             f"which exceeds the limit {MAX_GENUS}"
         )
     def steps():  # lazy: a stage's pattern is read when the fold reaches it
@@ -1036,20 +1036,6 @@ _STAGE_JSON = (
 )
 _STAGE_FIELDS = frozenset({"kind", *(key for key, *_ in _STAGE_JSON)})
 _TOWER_FIELDS = frozenset({"name", "initial", "initial_genus", "prefix", "cycle", "schema_version"})
-# Longest ``repr`` of a bad value that a message quotes in full.
-_MAX_QUOTED = 60
-
-
-def _quoted(value) -> str:
-    """``repr(value)``, cut and marked when longer than ``_MAX_QUOTED`` so that a
-    message stays one short line; an integer too long to print gives its bit length."""
-    try:
-        text = repr(value)
-    except ValueError:
-        return f"an integer of {value.bit_length()} bits"
-    return text if len(text) <= _MAX_QUOTED else f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
-
-
 def _field(obj: dict, key: str, where: str, kind: type, default=..., parse=None):
     """``obj[key]`` of exactly type ``kind`` (so no ``true`` or ``2.9`` for an int),
     read by ``parse`` if given, or ``default`` when absent; a required field has
@@ -1062,7 +1048,7 @@ def _field(obj: dict, key: str, where: str, kind: type, default=..., parse=None)
     if value is None and default is None:
         return value
     if type(value) is not kind:
-        raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {_quoted(value)}")
+        raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {quoted(value)}")
     try:
         return value if parse is None else parse(value)
     except ValueError as exc:  # a grammar error, worded to name the field
@@ -1082,9 +1068,9 @@ def _stage_from_dict(obj: dict, where: str) -> Stage:
     try:
         kind = _STAGE_KINDS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise ValueError(f"{where}: unknown stage kind {_quoted(name)}") from None
+        raise ValueError(f"{where}: unknown stage kind {quoted(name)}") from None
     if not obj.keys() <= _STAGE_FIELDS:
-        raise ValueError(f"{where}: unknown stage fields {_quoted(sorted(obj.keys() - _STAGE_FIELDS))}")
+        raise ValueError(f"{where}: unknown stage fields {quoted(sorted(obj.keys() - _STAGE_FIELDS))}")
 
     fields = [kind, *_STAGE_DEFAULTS[kind]]
     for key, place, json_type, parse in _STAGE_JSON:
@@ -1111,9 +1097,9 @@ def tower_from_dict(obj: dict) -> Tower:
         raise ValueError("tower description must be a JSON object")
     unknown = obj.keys() - _TOWER_FIELDS
     if unknown:
-        raise ValueError(f"unknown tower fields {_quoted(sorted(unknown))}")
+        raise ValueError(f"unknown tower fields {quoted(sorted(unknown))}")
     if _field(obj, "schema_version", "tower", int, 1) != 1:
-        raise ValueError(f"unsupported schema_version {_quoted(obj['schema_version'])}")
+        raise ValueError(f"unsupported schema_version {quoted(obj['schema_version'])}")
     initial = _field(obj, "initial", "tower", str, ..., parse_knot)
     prefix, cycle = (
         tuple(

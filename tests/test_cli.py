@@ -425,7 +425,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         (["tower", "report", str(tower_file)], 0, towers),
         (["catalog", "report", "whitehead"], 0, towers | {"catalog"}),
         (["catalog", "list"], 0, {"laurent", "knots", "towers", "catalog"}),
-        (["frobnicate"], 1, set()),
+        # A usage error quotes the arguments it echoes by laurent's one rule.
+        (["frobnicate"], 1, {"laurent"}),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv, code, modules in cases:
@@ -533,6 +534,12 @@ _BAD_INITIAL = json.dumps({"initial": "torus(2,4)", "cycle": [{"kind": "core_par
 _HUGE_TORUS = f"torus({10**2200 + 1},{10**2200 + 2})"
 _HUGE_INITIAL = json.dumps({"initial": _HUGE_TORUS, "cycle": [{"kind": "core_parallel"}]})
 _HUGE_KNOT = json.dumps({"initial": "unknot", "cycle": [{"kind": "swallow", "knot": f"torus(2,{'1' * 5001})"}]})
+# Values within every limit whose messages once printed them whole.
+_LONG_TORUS = f"torus({'2' * 1000},{'4' * 1000})"
+_TOO_LONG_GENUS = f"torus({'9' * 999},{10**999})"
+_GENUS_INITIAL = json.dumps({"initial": _TOO_LONG_GENUS, "cycle": [{"kind": "core_parallel"}]})
+_LONG_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 " + "1" * 10**5}]})
+_LONG_PATH = "a" * 10**5
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -566,6 +573,26 @@ _BAD_VALUES = [
      "tower: 'initial': torus parameter of 2201 digits exceeds the limit of 1000 digits"),
     (["tower", "report", _FILE], _HUGE_KNOT,
      "cycle[0]: 'knot': torus parameter of 5001 digits exceeds the limit of 1000 digits"),
+    (["knot", "genus", _LONG_TORUS], None, "torus knot parameters must be coprime, got (222"),
+    (["knot", "alexander", _TOO_LONG_GENUS], None, "knot genus 4999"),
+    (["tower", "report", _FILE], _GENUS_INITIAL, "the stabilized polynomial has genus 4999"),
+    (["catalog", "report", "x" * 10**5], None, "unknown catalog tower 'xxx"),
+    (["tower", "report", _FILE], _LONG_DELTA,
+     "cycle[0]: 'pattern_delta': polynomial syntax error at position 2: expected '+' or '-', got '111"),
+    (["diagram", "genus", _FILE], "PD[X[1,2,3," + "4" * 4000 + "]]",
+     "PD syntax error at position 3: expected X[a,b,c,d], got 'X[1,2,3,444"),
+    # A label of 5,000 digits is refused by its length, before it is converted.
+    (["diagram", "genus", _FILE], "PD[X[1,2,3," + "5" * 5000 + "]]",
+     "PD syntax error at position 3: expected X[a,b,c,d], got 'X[1,2,3,555"),
+    (["diagram", "genus", _LONG_PATH], None, "File name too long: 'aaa"),
+    (["tower", "report", _LONG_PATH], None, "File name too long: 'aaa"),
+]
+# Usage errors that once echoed a long argument whole: they exit 1.
+_BAD_USAGE = [
+    (["x" * 10**5], None, "argument command: invalid choice: 'xxx"),
+    (["knot", "x" * 10**5], None, "argument invariant: invalid choice: 'xxx"),
+    (["knot", "genus", "unknot", "y" * 10**5], None, "unrecognized arguments: 'yyy"),
+    (["--json=" + "x" * 10**5], None, "argument --json: ignored explicit argument 'xxx"),
 ]
 
 
@@ -613,6 +640,14 @@ _CLI_CASE = st.one_of(
 )
 
 
+def _each_bad_input(test):
+    """An ``@example`` of ``test`` for each ``_BAD_VALUES`` and ``_BAD_USAGE``
+    input, with and without ``--json`` in turn."""
+    for i, (argv, content, _) in enumerate(_BAD_VALUES + _BAD_USAGE):
+        test = example(case=(argv, content), as_json=i % 2 == 0)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=timedelta(seconds=1))
 @given(case=_CLI_CASE, as_json=st.booleans())
 @example(case=(["tower", "report", _FILE], json.dumps(fold_tower(12, 3, "1 - t + t^2", 1))), as_json=True)
@@ -620,20 +655,7 @@ _CLI_CASE = st.one_of(
 @example(case=(["diagram", "genus", _FILE], _DIRECTORY), as_json=False)
 @example(case=(["tower", "report", _FILE], _NOT_UTF8), as_json=False)
 @example(case=(["tower", "report", _FILE], _DEEP_JSON), as_json=True)
-@example(case=_BAD_VALUES[0][:2], as_json=True)
-@example(case=_BAD_VALUES[1][:2], as_json=False)
-@example(case=_BAD_VALUES[2][:2], as_json=False)
-@example(case=_BAD_VALUES[3][:2], as_json=True)
-@example(case=_BAD_VALUES[4][:2], as_json=False)
-@example(case=_BAD_VALUES[5][:2], as_json=True)
-@example(case=_BAD_VALUES[6][:2], as_json=False)
-@example(case=_BAD_VALUES[7][:2], as_json=True)
-@example(case=_BAD_VALUES[8][:2], as_json=False)
-@example(case=_BAD_VALUES[9][:2], as_json=True)
-@example(case=_BAD_VALUES[10][:2], as_json=False)
-@example(case=_BAD_VALUES[11][:2], as_json=True)
-@example(case=_BAD_VALUES[12][:2], as_json=False)
-@example(case=_BAD_VALUES[13][:2], as_json=True)
+@_each_bad_input
 def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
     argv, content = case
     directory = None if content is None else tmp_path_factory.mktemp("fuzz")
@@ -660,12 +682,26 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
     _BAD_VALUES,
     ids=["long-name", "pd-prefix", "catalog-bytes", "long-trailing-text", "long-table-name",
          "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask",
-         "huge-torus", "huge-torus-initial", "huge-torus-knot"],
+         "huge-torus", "huge-torus-initial", "huge-torus-knot", "long-torus", "long-genus",
+         "long-tower-genus", "long-catalog-name", "long-delta-token", "long-label", "label-past-int-limit",
+         "long-diagram-path", "long-tower-path"],
 )
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "argv, content, problem",
+    _BAD_USAGE,
+    ids=["long-command", "long-invariant", "long-extra-argument", "long-flag-argument"],
+)
+def test_bad_usage_gets_one_short_line_naming_it(argv, content, problem):
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and problem in err
     assert len(err.encode()) < 300
 
 

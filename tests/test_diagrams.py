@@ -130,6 +130,10 @@ PD_SYNTAX_ERRORS = [
     ("PD[X[1,2,3]]", 3, "expected X[a,b,c,d], got 'X[1,2,3]'"),
     ("PD[X[1,2,3,4]", 3, "expected X[a,b,c,d], got 'X[1,2,3,4'"),
     (" PD[ X[1,4,2,5]; X[3,6,4,1]]", 15, "expected X[a,b,c,d], got '; X[3,6,4,1]'"),
+    # A label of four digits breaks rule 3 whatever it is, so it is read as no crossing.
+    ("PD[X[1,2,3,1000]]", 3, "expected X[a,b,c,d], got 'X[1,2,3,1000]'"),
+    # A message quotes at most 60 characters of what it could not read.
+    ("PD[" + "Y" * 100 + "]", 3, f"expected X[a,b,c,d], got '{'Y' * 59}... (102 characters)"),
 ]
 
 

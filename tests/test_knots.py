@@ -127,6 +127,9 @@ KNOT_SYNTAX_ERRORS = [
     ("torus(2," + "1" * 1001 + ")", "torus parameter of 1001 digits exceeds the limit of 1000 digits"),
     ("sum(unknot; torus(" + "9" * 5001 + ",2))",
      "torus parameter of 5001 digits exceeds the limit of 1000 digits"),
+    # A message quotes at most 60 characters of what it could not read.
+    ("sum(unknot " + "x" * 100 + ")", f"expected ';' or ')' in sum(...), got '{'x' * 59}... (103 characters)"),
+    ("sum(unknot; " + "x" * 100, f"malformed knot expression near '{'x' * 59}... (102 characters)"),
 ]
 
 

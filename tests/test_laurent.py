@@ -112,6 +112,9 @@ POLY_SYNTAX_ERRORS = [
     ("t t", "polynomial syntax error at position 2: expected '+' or '-', got 't'"),
     ("2 35", "polynomial syntax error at position 2: expected '+' or '-', got '35'"),
     ("t*t", "polynomial syntax error at position 1: expected '+' or '-', got '*'"),
+    # A message quotes at most 60 characters of what it could not read.
+    ("1 + " + "@" * 100, f"polynomial syntax error at position 4: '{'@' * 59}... (102 characters)"),
+    ("2 " + "3" * 100, f"polynomial syntax error at position 2: expected '+' or '-', got '{'3' * 59}... (102 characters)"),
 ]
 
 
