@@ -100,6 +100,5 @@ def resolve(name: str) -> Tower:
         return mask_tower(name[len("mask:"):])
     towers = catalog()
     if name not in towers:
-        known = ", ".join(sorted(towers))
-        raise ValueError(f"unknown catalog tower {quoted(name)}; known: {known}, mask:<bits>")
+        raise ValueError(f"unknown catalog tower {quoted(name)}; 'toroidal catalog list' names them all")
     return towers[name]

@@ -1,170 +1,155 @@
-"""Command-line front end.
+"""toroidal: invariants of knots and towers of solid tori, from the command line.
 
-Subcommands::
-
+Usage:
     toroidal knot genus|alexander "<expr>"
     toroidal diagram alexander|genus <file.pd>
     toroidal tower report <file.json>
     toroidal catalog list
     toroidal catalog report <name>
 
-``--json`` switches any subcommand to JSON output.  Exit status: 0 on
-success, 1 on usage errors, 2 on validation errors (unreadable files,
-malformed expressions, PD codes or tower files, and towers rejected by the
-validator).
-
-Each subcommand imports only the modules it runs, so a process that asks
-for a knot's genus never loads the tower or diagram engines.
+--json switches any command to JSON output; it may stand anywhere and may
+repeat.  -h or --help anywhere prints this text.  A word that starts with
+"-" is an option, except "-" itself, a negative number such as -5, and a
+word that holds a space; every other word fills the command's next place.
+Exit status: 0 on success, 1 on usage errors, 2 on validation errors
+(unreadable files, malformed expressions, PD codes or tower files, and
+towers rejected by the validator).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 
 __all__ = ["main"]
+
+# The grammar: each command names its second word and that word's choices,
+# and each choice names its one argument (None: it takes none).
+_COMMANDS = {
+    "knot": ("invariant", {"genus": "expr", "alexander": "expr"}),
+    "diagram": ("invariant", {"alexander": "file", "genus": "file"}),
+    "tower": ("action", {"report": "file"}),
+    "catalog": ("action", {"list": None, "report": "name"}),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+def _parse(argv: list[str]) -> tuple[list, bool]:
+    """The command, its second word and its argument (``None`` for ``catalog
+    list``, which takes none), and whether ``--json`` was given."""
+    from .laurent import quoted, quoted_if_long  # the one rule for a message that shows a word
 
-
-def _add_json_flag(p: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a leaf parser from clobbering a --json given before
-    # the subcommand; the flag works in either position.
-    p.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="emit JSON instead of text",
-    )
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="toroidal", description=__doc__.splitlines()[0])
-    parser.set_defaults(json=False)
-    _add_json_flag(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    knot = sub.add_parser("knot", help="invariants of symbolic knot expressions")
-    knot_sub = knot.add_subparsers(dest="invariant", required=True)
-    for inv in ("genus", "alexander"):
-        p = knot_sub.add_parser(inv)
-        p.add_argument("expr", help="knot expression, e.g. 'torus(2,3)'")
-        _add_json_flag(p)
-
-    diagram = sub.add_parser("diagram", help="invariants computed from a PD file")
-    diagram_sub = diagram.add_subparsers(dest="invariant", required=True)
-    for inv in ("alexander", "genus"):
-        p = diagram_sub.add_parser(inv)
-        p.add_argument("file", help="path to a .pd file")
-        _add_json_flag(p)
-
-    tower = sub.add_parser("tower", help="classify a tower description file")
-    tower_sub = tower.add_subparsers(dest="action", required=True)
-    p = tower_sub.add_parser("report")
-    p.add_argument("file", help="path to a tower JSON file")
-    _add_json_flag(p)
-
-    cat = sub.add_parser("catalog", help="built-in example towers")
-    cat_sub = cat.add_subparsers(dest="action", required=True)
-    _add_json_flag(cat_sub.add_parser("list"))
-    p = cat_sub.add_parser("report")
-    p.add_argument("name", help="catalog name or mask:<bits>")
-    _add_json_flag(p)
-    return parser
+    places = [("command", _COMMANDS)]  # each place's name, and its choices (None: any word)
+    words, unknown, as_json = [], [], False
+    for word in argv:
+        if word == "--json":
+            as_json = True
+        elif word.startswith("--json="):
+            raise _UsageError(f"argument --json: ignored explicit argument {quoted(word.partition('=')[2])}")
+        elif len(words) == len(places) or (word.startswith("-") and word != "-" and " " not in word
+                                            and not _NEGATIVE_NUMBER.match(word)):
+            unknown.append(word)
+        else:
+            name, choices = places[len(words)]
+            if choices is not None and word not in choices:
+                raise _UsageError(f"argument {name}: invalid choice: {quoted(word)} "
+                                  f"(choose from {', '.join(map(repr, choices))})")
+            words.append(word)
+            if choices and choices[word]:  # a command's second word, or a second word's argument
+                places.append(choices[word] if len(words) == 1 else (choices[word], None))
+    if len(words) < len(places):
+        raise _UsageError(f"the following arguments are required: {places[len(words)][0]}")
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(map(quoted_if_long, unknown))}")
+    return words + [None] * (3 - len(words)), as_json
 
 
 def _emit(payload: dict, text: str, as_json: bool, out) -> None:
-    if as_json:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        out.write(text)
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n" if as_json else text)
 
 
-def _run_knot(args, out) -> int:
+# Each command imports only the modules it runs, so a process that asks for
+# a knot's genus never loads the tower or diagram engines.
+def _run_knot(invariant: str, text: str, as_json: bool, out) -> int:
     from .knots import alexander_of_knot, genus_of_knot, parse_knot
 
-    expr = parse_knot(args.expr)
-    if args.invariant == "genus":
+    expr = parse_knot(text)
+    if invariant == "genus":
         g = genus_of_knot(expr)
         payload = {"expr": str(expr), "genus_lower": g.lower, "genus_upper": g.upper}
-        _emit(payload, f"{g}\n", args.json, out)
+        _emit(payload, f"{g}\n", as_json, out)
     else:
         delta = alexander_of_knot(expr)
-        _emit({"expr": str(expr), "alexander": str(delta)}, f"{delta}\n", args.json, out)
+        _emit({"expr": str(expr), "alexander": str(delta)}, f"{delta}\n", as_json, out)
     return 0
 
 
-def _run_diagram(args, out) -> int:
+def _run_diagram(invariant: str, path: str, as_json: bool, out) -> int:
     from .diagrams import alexander_from_diagram, genus_bounds, parse_pd
 
-    with open(args.file, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         d = parse_pd(fh.read())
-    if args.invariant == "alexander":
+    if invariant == "alexander":
         delta = alexander_from_diagram(d)
-        _emit({"file": args.file, "alexander": str(delta)}, f"{delta}\n", args.json, out)
+        _emit({"file": path, "alexander": str(delta)}, f"{delta}\n", as_json, out)
     else:
         lo, hi = genus_bounds(d)
         text = f"{lo}\n" if lo == hi else f"[{lo}, {hi}]\n"
-        _emit({"file": args.file, "genus_lower": lo, "genus_upper": hi}, text, args.json, out)
+        _emit({"file": path, "genus_lower": lo, "genus_upper": hi}, text, as_json, out)
     return 0
 
 
-def _run_towers(args, out, err) -> int:
-    """``tower report`` and ``catalog``, the subcommands that load towers."""
+def _run_towers(command: str, action: str, arg: str | None, as_json: bool, out, err) -> int:
+    """``tower report`` and ``catalog``, the commands that load towers."""
     from .towers import InvalidTowerError, load_tower
 
     try:
-        if args.command == "tower":
-            tower = load_tower(args.file)
+        if command == "tower":
+            tower = load_tower(arg)
         else:
             from .catalog import catalog, resolve
 
-            if args.action == "list":
+            if action == "list":
                 names = sorted(catalog())
-                if args.json:
-                    _emit({"towers": names, "mask_family": "mask:<bits>"}, "", True, out)
-                else:
-                    out.write("\n".join(names) + "\n" + "mask:<bits>  (generated family)\n")
+                text = "\n".join(names) + "\n" + "mask:<bits>  (generated family)\n"
+                _emit({"towers": names, "mask_family": "mask:<bits>"}, text, as_json, out)
                 return 0
-            tower = resolve(args.name)
+            tower = resolve(arg)
         from .reports import build_report, render_json, render_text
 
         doc = build_report(tower)
     except InvalidTowerError as exc:
         err.write(f"invalid tower:\n{exc}\n")
         return 2
-    out.write(render_json(doc) if args.json else render_text(doc))
+    out.write(render_json(doc) if as_json else render_text(doc))
     return 0
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
-    from .laurent import quoted  # the one rule by which a message shows a value it was given
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        message = str(exc)  # argparse echoes an argument whole, or what follows its "=" or its flag
-        for echo in (part for token in argv for part in (token, token.partition("=")[2], token[2:])):
-            if quoted(echo) != repr(echo):
-                message = message.replace(repr(echo) if repr(echo) in message else echo, quoted(echo))
-        err.write(f"usage error: {message}\n")
-        return 1
+    if "-h" in argv or "--help" in argv:
+        out.write(__doc__)
+        return 0
+    from .laurent import quoted
 
     try:
-        if args.command == "knot":
-            return _run_knot(args, out)
-        if args.command == "diagram":
-            return _run_diagram(args, out)
-        return _run_towers(args, out, err)
+        (command, word, arg), as_json = _parse(argv)
+    except _UsageError as exc:
+        err.write(f"usage error: {exc}\n")
+        return 1
+    try:
+        if command == "knot":
+            return _run_knot(word, arg, as_json, out)
+        if command == "diagram":
+            return _run_diagram(word, arg, as_json, out)
+        return _run_towers(command, word, arg, as_json, out, err)
     except (OSError, ValueError) as exc:
         name = getattr(exc, "filename", None)  # an OSError's file name is input too
         err.write(f"error: {str(exc).replace(repr(name), quoted(name))}\n")

@@ -127,6 +127,9 @@ class KnotGenus(value_type("KnotGenus", "lower upper")):
     """Either an exact genus (``lower == upper``) or a bound pair.
 
     ``upper`` is ``None`` when no finite upper bound is known.
+
+    >>> print(KnotGenus.exact(2), KnotGenus(1, None), KnotGenus(1, 3))
+    2 [1, unbounded] [1, 3]
     """
 
     __slots__ = ()

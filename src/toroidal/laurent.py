@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact", "quoted"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact", "quoted",
+           "quoted_if_long"]
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -98,6 +99,12 @@ def quoted(value) -> str:
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
     return text if len(text) <= _MAX_QUOTED else text[:_MAX_QUOTED] + f"... ({len(text)} characters)"
+
+
+def quoted_if_long(text: str, width: int = _MAX_QUOTED) -> str:
+    """``text`` itself when its ``repr`` has at most ``width`` characters, else
+    ``quoted(text)``: for a message that has always shown short text bare."""
+    return text if len(repr(text)) <= width else quoted(text)
 
 
 # Most pairs of terms one computation multiplies: one product, or all the

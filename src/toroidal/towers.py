@@ -71,7 +71,7 @@ from .knots import (
     prime_summands,
     satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, quoted, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, quoted, quoted_if_long, value_type
 
 __all__ = [
     "StageKind",
@@ -1130,15 +1130,21 @@ def tower_to_dict(tower: Tower) -> dict:
     return out
 
 
+# A message shows a path of up to this many characters (the longest file name
+# most file systems allow) bare, as it always has; a longer one is quoted, so cut.
+_MAX_BARE_PATH = 255
+
+
 def load_tower(path: str | PathLike[str]) -> Tower:
     """Read a tower description file (JSON, schema version 1)."""
     with open(path, "r", encoding="utf-8") as fh:
+        name = quoted_if_long(str(path), _MAX_BARE_PATH)
         try:
             obj = json.load(fh)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+            raise ValueError(f"{name}: not UTF-8 text: {exc}") from exc
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+            raise ValueError(f"{name}: not valid JSON: {exc}") from exc
         except RecursionError as exc:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from exc
+            raise ValueError(f"{name}: JSON nested too deeply to read") from exc
     return tower_from_dict(obj)

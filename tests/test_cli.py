@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import pd_text, torus_2_pd
+from toroidal import cli
 from toroidal.catalog import CATALOG_DIR_ENV
 from toroidal.cli import main
 from toroidal.knots import Torus
@@ -324,6 +325,27 @@ def test_usage_errors_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["knot", "--help"], ["frobnicate", "--json=1", "-h"]])
+def test_help_anywhere_writes_the_usage_to_out(argv):
+    code, out, err = run(argv)
+    assert (code, out, err) == (0, cli.__doc__, "")
+    assert "toroidal catalog report <name>" in out
+
+
+def test_the_module_runs_as_a_program():
+    # ``python -m toroidal.cli``, one process per command, as the benchmark's CLI mix runs it.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, code in ((["--help"], 0), (["frobnicate"], 1)):
+        proc = subprocess.run([sys.executable, "-m", "toroidal.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, argv
+        if code == 0:
+            assert proc.stdout == cli.__doc__ and proc.stderr == ""
+        else:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1
+            assert proc.stderr.startswith("usage error: argument command: invalid choice: 'frobnicate'")
+
+
 def test_catalog_list():
     code, out, _ = run(["catalog", "list"])
     assert code == 0
@@ -407,7 +429,7 @@ sys.path.insert(0, sys.argv[1])
 from toroidal.cli import main
 code = main(sys.argv[2:], io.StringIO(), io.StringIO())
 print(code, *sorted(m for m in sys.modules if m == "toroidal" or m.startswith("toroidal.")))
-print(*(m in sys.modules for m in ("typing", "pathlib", "dataclasses", "inspect")))
+print(*(m in sys.modules for m in ("typing", "pathlib", "dataclasses", "inspect", "argparse", "gettext")))
 """
 
 
@@ -425,8 +447,9 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         (["tower", "report", str(tower_file)], 0, towers),
         (["catalog", "report", "whitehead"], 0, towers | {"catalog"}),
         (["catalog", "list"], 0, {"laurent", "knots", "towers", "catalog"}),
-        # A usage error quotes the arguments it echoes by laurent's one rule.
+        # The parser quotes the words it echoes by laurent's one rule; help needs no rule.
         (["frobnicate"], 1, {"laurent"}),
+        (["knot", "--help"], 0, set()),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv, code, modules in cases:
@@ -437,11 +460,13 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         )
         assert proc.stderr == ""
         loaded, stdlib_loaded = proc.stdout.splitlines()
-        typing_loaded, pathlib_loaded, dataclasses_loaded, inspect_loaded = stdlib_loaded.split()
+        typing_loaded, pathlib_loaded, dataclasses_loaded, inspect_loaded, *parser_loaded = stdlib_loaded.split()
         expected = {"toroidal", "toroidal.cli"} | {f"toroidal.{m}" for m in modules}
         assert loaded.split() == [str(code), *sorted(expected)], argv
         # The value types are named tuples: no subcommand pays for dataclasses.
         assert typing_loaded == dataclasses_loaded == inspect_loaded == "False", argv
+        # The command table is the parser: no process pays for argparse or its gettext.
+        assert parser_loaded == ["False", "False"], argv
         # Only the catalog, which reads a directory of tower files, loads pathlib.
         assert pathlib_loaded == "False" or "catalog" in modules, argv
 
@@ -517,6 +542,8 @@ _PD_TEXT = (
     | st.text(alphabet="PDX[], 0123456789", max_size=40)
 )
 _FILE = "<file>"
+# The same file named through 1,900 "./" steps: a path of about 3,900 characters that opens.
+_DOTTED_FILE = "<file by a long path>"
 # File contents that no text grammar reads: a directory in place of a file,
 # bytes that are not UTF-8, and JSON nested deeper than the decoder goes.
 _DIRECTORY = object()
@@ -540,6 +567,9 @@ _TOO_LONG_GENUS = f"torus({'9' * 999},{10**999})"
 _GENUS_INITIAL = json.dumps({"initial": _TOO_LONG_GENUS, "cycle": [{"kind": "core_parallel"}]})
 _LONG_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 " + "1" * 10**5}]})
 _LONG_PATH = "a" * 10**5
+_TRUNCATED_JSON = '{"initial": '
+# A catalog directory of 50 towers with 197-character names.
+_LONG_CATALOG_NAMES = {f"{i:02d}{'n' * 195}.json": b'{"initial": "unknot", "cycle": []}' for i in range(50)}
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -552,8 +582,10 @@ _HOSTILE_FILES = [
 # bad value, a PD body that repeats its own prefix, a catalog file that is
 # not UTF-8, long unread knot text in an argument or a tower file, an
 # integer too long to convert, grammar errors in a tower file's fields, a
-# long mask and torus parameters too long to read, in an argument or a tower
-# file.  A catalog command finds its file in the catalog directory.
+# long mask, torus parameters too long to read, in an argument or a tower
+# file, a long path, and a catalog of many long names.  A catalog command
+# finds its files in the catalog directory.  "-" and a negative number are
+# words, not options: a file name and a catalog name.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
@@ -586,25 +618,35 @@ _BAD_VALUES = [
      "PD syntax error at position 3: expected X[a,b,c,d], got 'X[1,2,3,555"),
     (["diagram", "genus", _LONG_PATH], None, "File name too long: 'aaa"),
     (["tower", "report", _LONG_PATH], None, "File name too long: 'aaa"),
+    (["tower", "report", _DOTTED_FILE], _TRUNCATED_JSON, "characters): not valid JSON: Expecting value"),
+    (["catalog", "report", "nope"], _LONG_CATALOG_NAMES,
+     "unknown catalog tower 'nope'; 'toroidal catalog list' names them all"),
+    (["diagram", "genus", "-"], None, "No such file or directory: '-'"),
+    (["catalog", "report", "-5"], None, "unknown catalog tower '-5'"),
 ]
-# Usage errors that once echoed a long argument whole: they exit 1.
+# Usage errors that once echoed a long argument whole, and a flag's
+# abbreviation, which is not read as the flag: they exit 1.
 _BAD_USAGE = [
     (["x" * 10**5], None, "argument command: invalid choice: 'xxx"),
     (["knot", "x" * 10**5], None, "argument invariant: invalid choice: 'xxx"),
     (["knot", "genus", "unknot", "y" * 10**5], None, "unrecognized arguments: 'yyy"),
     (["--json=" + "x" * 10**5], None, "argument --json: ignored explicit argument 'xxx"),
+    (["--js", "catalog", "list"], None, "unrecognized arguments: --js"),
 ]
 
 
 def _run_with_input(directory: Path | None, argv: list, content) -> tuple[int, str, str]:
-    """Run ``argv`` with ``content`` in its ``_FILE`` argument or, for a
-    catalog command, in a file of the catalog directory."""
+    """Run ``argv`` with ``content`` in its ``_FILE`` or ``_DOTTED_FILE``
+    argument or, for a catalog command, in the catalog directory: as
+    ``bad.json``, or as the files a dict names."""
     env = {}
-    if _FILE in argv:
+    if _FILE in argv or _DOTTED_FILE in argv:
         path = _input_file(directory, content)
-        argv = [path if arg == _FILE else arg for arg in argv]
+        dotted = os.path.join(directory, "./" * 1900 + "input")
+        argv = [{_FILE: path, _DOTTED_FILE: dotted}.get(arg, arg) for arg in argv]
     elif content is not None:
-        (directory / "bad.json").write_bytes(content)
+        for name, data in (content if isinstance(content, dict) else {"bad.json": content}).items():
+            (directory / name).write_bytes(data)
         env[CATALOG_DIR_ENV] = str(directory)
     with mock.patch.dict(os.environ, env):
         return run(argv)
@@ -684,7 +726,8 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
          "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask",
          "huge-torus", "huge-torus-initial", "huge-torus-knot", "long-torus", "long-genus",
          "long-tower-genus", "long-catalog-name", "long-delta-token", "long-label", "label-past-int-limit",
-         "long-diagram-path", "long-tower-path"],
+         "long-diagram-path", "long-tower-path", "long-path-to-bad-json", "many-long-catalog-names",
+         "dash-is-a-file", "negative-number-is-a-name"],
 )
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)
@@ -696,7 +739,7 @@ def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, proble
 @pytest.mark.parametrize(
     "argv, content, problem",
     _BAD_USAGE,
-    ids=["long-command", "long-invariant", "long-extra-argument", "long-flag-argument"],
+    ids=["long-command", "long-invariant", "long-extra-argument", "long-flag-argument", "abbreviated-flag"],
 )
 def test_bad_usage_gets_one_short_line_naming_it(argv, content, problem):
     code, out, err = run(argv)
