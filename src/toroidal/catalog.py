@@ -77,7 +77,7 @@ def mask_tower(mask: str, prefix_len: int = 8) -> Tower:
     return Tower(
         f"mask:{mask}",
         UNKNOT,
-        prefix=tuple(swallow(k) for k in selected[:prefix_len]),
+        prefix=[swallow(k) for k in selected[:prefix_len]],
         cycle=(swallow(selected[prefix_len]),),
     )
 

@@ -1,4 +1,8 @@
-"""toroidal: invariants of knots and towers of solid tori, from the command line.
+from __future__ import annotations
+
+# The usage text, which -h prints: bound as a plain string, not written as the
+# module docstring, so that python -OO, which drops docstrings, keeps it.
+__doc__ = """toroidal: invariants of knots and towers of solid tori, from the command line.
 
 Usage:
     toroidal knot genus|alexander "<expr>"
@@ -15,8 +19,6 @@ Exit status: 0 on success, 1 on usage errors, 2 on validation errors
 (unreadable files, malformed expressions, PD codes or tower files, and
 towers rejected by the validator).
 """
-
-from __future__ import annotations
 
 import json
 import re

@@ -83,11 +83,12 @@ class Torus(value_type("Torus", "p q")):
 
 
 class Sum(value_type("Sum", "parts")):
-    """Connected sum of the ``parts``, a nonempty tuple of knot expressions."""
+    """Connected sum of the ``parts``, a nonempty iterable of knot expressions kept as a tuple."""
 
     __slots__ = ()
 
-    def __new__(cls, parts: tuple[KnotExpr, ...]) -> Sum:
+    def __new__(cls, parts: Iterable[KnotExpr]) -> Sum:
+        parts = tuple(parts)  # before the check: a generator is always truthy
         if not parts:
             raise ValueError("connected sum needs at least one part")
         return super().__new__(cls, parts)
@@ -185,7 +186,7 @@ def normalize(k: KnotExpr) -> KnotExpr:
     if isinstance(k, Torus):  # an atom returns at once
         return k if k.p <= k.q else Torus(k.q, k.p)
     parts = _summands(k)
-    return Sum(tuple(parts)) if len(parts) > 1 else parts[0] if parts else UNKNOT
+    return Sum(parts) if len(parts) > 1 else parts[0] if parts else UNKNOT
 
 
 def genus_of_knot(k: KnotExpr) -> KnotGenus:
@@ -356,6 +357,6 @@ def _parse_expr(text: str, pos: int, depth: int = 0) -> tuple[KnotExpr, int]:
                 pos += 1
                 continue
             if text.startswith(")", pos):
-                return Sum(tuple(parts)), pos + 1
+                return Sum(parts), pos + 1
             raise ValueError(f"expected ';' or ')' in sum(...), got {quoted(text[pos:])}")
     raise ValueError(f"malformed knot expression near {quoted(text[pos:])}")

@@ -270,11 +270,11 @@ def generic(
 class Tower(value_type("Tower", "name initial prefix cycle initial_genus", ((), (), None))):
     """Eventually periodic defining sequence of a toroidal set: the initial
     knot in normal form, an optional declared genus for it, and the prefix
-    and cycle stages.  Its walk, cohomology profile and genus are kept on it
-    when first read."""
+    and cycle stages, each kept as a tuple.  Its walk, cohomology profile
+    and genus are kept on it when first read."""
 
     def __new__(cls, name, initial, prefix=(), cycle=(), initial_genus=None):
-        return super().__new__(cls, name, normalize(initial), prefix, cycle, initial_genus)
+        return super().__new__(cls, name, normalize(initial), tuple(prefix), tuple(cycle), initial_genus)
 
     @kept_fact
     def _walked(self) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
@@ -412,13 +412,6 @@ def _where(i: int, n: int, c: int) -> str:
     return f"prefix[{i}]" if i < n else f"cycle[{(i - n) % c}] (periodic)"
 
 
-def _stage_contract_violations(stage: Stage, i: int, n: int, c: int) -> list[Violation]:
-    """Stage ``i``'s contract violations; the location is formatted only for one."""
-    if not stage._faults:
-        return []
-    return [Violation(kind, _where(i, n, c), message) for kind, message in stage._faults]
-
-
 def _walk(tower: Tower) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]:
     """The validation report, and the chain states before and after each stage."""
     state, violations = _initial_state(tower)
@@ -428,8 +421,9 @@ def _walk(tower: Tower) -> tuple[ValidationReport, tuple[tuple[int, bool], ...]]
     states = [state]
     seen_chain: set[str] = set()
     for i, stage in enumerate(_unrolled(tower)):
-        if i < n + c:  # later stages repeat checked ones
-            violations += _stage_contract_violations(stage, i, n, c)
+        if i < n + c and stage._faults:  # later stages repeat checked ones
+            where = _where(i, n, c)
+            violations += [Violation(kind, where, message) for kind, message in stage._faults]
         if state is None:  # past the bound limit the chain is not followed
             continue
         state, fault = _stage_transfer(state, stage)
@@ -632,18 +626,6 @@ _GENUS_JUSTIFICATION = {
 class GenusResult(value_type("GenusResult", "kind value rule")):
     __slots__ = ()
 
-    @classmethod
-    def exact(cls, g: int, rule: GenusRule) -> GenusResult:
-        return cls(GenusKind.EXACT, g, rule)
-
-    @classmethod
-    def infinite(cls, rule: GenusRule) -> GenusResult:
-        return cls(GenusKind.INFINITE, None, rule)
-
-    @classmethod
-    def lower_bound(cls, g: int) -> GenusResult:
-        return cls(GenusKind.LOWER_BOUND, g, GenusRule.SCHUBERT_CHAIN)
-
     @property
     def is_exact(self) -> bool:
         return self.kind is GenusKind.EXACT
@@ -683,7 +665,7 @@ def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
     # least 1 and some at least 2 (not finitely generated), or all are 1 (Z).
     h1 = tower._coh.h1
     if h1 is not H1Class.TRIVIAL and any(s._pattern[0] > 0 for s in tower.cycle):
-        return GenusResult.infinite(GenusRule.STRONGLY_KNOTTED)
+        return GenusResult(GenusKind.INFINITE, None, GenusRule.STRONGLY_KNOTTED)
 
     # The last state, after the walk's second cycle pass, is the fixed point:
     # a second pass ends where the first did.  A winding-0 stage, or a
@@ -698,20 +680,20 @@ def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
     # on the chain is positive here, and gives the winding blowup.
     bound, exact = states[-1]
     if h1 is H1Class.NOT_FINITELY_GENERATED and bound > 0:
-        return GenusResult.infinite(GenusRule.WINDING_BLOWUP)
+        return GenusResult(GenusKind.INFINITE, None, GenusRule.WINDING_BLOWUP)
 
     if h1 is H1Class.TRIVIAL and not (exact and bound == 0):
         # A winding-0 cycle supports only exact genus 0: for a homologically
         # trivial set the limit of the tori's genera is only an upper bound.
-        return GenusResult.lower_bound(0)
+        bound, exact = 0, False
     if exact:
         rule = (
             GenusRule.DECLARED_CONSISTENT_CHAIN
             if any(s.declared_genus is not None for s in tower.cycle)
             else GenusRule.STABLE_CHAIN
         )
-        return GenusResult.exact(bound, rule)
-    return GenusResult.lower_bound(bound)
+        return GenusResult(GenusKind.EXACT, bound, rule)
+    return GenusResult(GenusKind.LOWER_BOUND, bound, GenusRule.SCHUBERT_CHAIN)
 
 
 def is_unknotted_tower(tower: Tower) -> bool:
@@ -792,8 +774,8 @@ def reembed_unknotted(tower: Tower) -> Tower:
     return Tower(
         name=f"{tower.name} (unknotted reembedding)",
         initial=UNKNOT,
-        prefix=tuple(forced(s) for s in rest),
-        cycle=tuple(forced(s) for s in tower.cycle),
+        prefix=[forced(s) for s in rest],
+        cycle=[forced(s) for s in tower.cycle],
     )
 
 
@@ -1102,10 +1084,7 @@ def tower_from_dict(obj: dict) -> Tower:
         raise ValueError(f"unsupported schema_version {quoted(obj['schema_version'])}")
     initial = _field(obj, "initial", "tower", str, ..., parse_knot)
     prefix, cycle = (
-        tuple(
-            _stage_from_dict(s, f"{key}[{i}]")
-            for i, s in enumerate(_field(obj, key, "tower", list, []))
-        )
+        [_stage_from_dict(s, f"{key}[{i}]") for i, s in enumerate(_field(obj, key, "tower", list, []))]
         for key in ("prefix", "cycle")
     )
     return Tower(

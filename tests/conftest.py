@@ -1,6 +1,7 @@
-"""Shared helpers: a random validated-tower generator, PD code generators
-(T(2, n), signed braid closures, cables and iterated cables, connected
-sums, mirrors), the mirror of a Laurent polynomial and suite timing."""
+"""Shared helpers: a random validated-tower generator, metamorphic moves on
+towers, PD code generators (T(2, n), signed braid closures, cables and
+iterated cables, connected sums, mirrors), the mirror of a Laurent
+polynomial and suite timing."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import time
 from toroidal.knots import TABLE_KNOTS, Sum, Torus, UNKNOT
 from toroidal.laurent import LaurentPoly
 from toroidal.towers import (
+    StageKind,
     Tower,
     core_parallel,
     generic,
@@ -66,6 +68,42 @@ def random_valid_towers(seed: int, count: int) -> list[Tower]:
         if validate_tower(t).ok:
             towers.append(t)
     return towers
+
+
+# Metamorphic moves: each gives the towers that present the same toroidal
+# set as ``t`` in another way, none where it does not apply.
+
+
+def double_cycle(t: Tower) -> list[Tower]:
+    """M1: the cycle written out twice."""
+    return [t._replace(cycle=t.cycle * 2)]
+
+
+def swap_prefix_swallows(t: Tower) -> list[Tower]:
+    """M6: two adjacent prefix swallow stages in the other order; a connected
+    sum does not depend on the order of its summands."""
+    p = t.prefix
+    return [
+        t._replace(prefix=(*p[:i], p[i + 1], p[i], *p[i + 2 :]))
+        for i in range(len(p) - 1)
+        if p[i].kind is p[i + 1].kind is StageKind.SWALLOW
+    ]
+
+
+def drop_outer_stage(t: Tower) -> list[Tower]:
+    """M4: the outermost stage removed, for a swallow stage (its knot joins the
+    initial knot) or a core-parallel stage, with its declared genus carried to
+    the initial knot.  Only a tower that declares no initial genus is moved."""
+    if not t.prefix or t.initial_genus is not None:
+        return []
+    outer, rest = t.prefix[0], t.prefix[1:]
+    if outer.kind is StageKind.SWALLOW:
+        initial = Sum((t.initial, outer.knot))
+    elif outer.kind is StageKind.CORE_PARALLEL:
+        initial = t.initial
+    else:
+        return []
+    return [t._replace(initial=initial, prefix=rest, initial_genus=outer.declared_genus)]
 
 
 def torus_2_pd(n: int) -> str:

@@ -335,10 +335,11 @@ def test_help_anywhere_writes_the_usage_to_out(argv):
 def test_the_module_runs_as_a_program():
     # ``python -m toroidal.cli``, one process per command, as the benchmark's CLI mix runs it.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for argv, code in ((["--help"], 0), (["frobnicate"], 1)):
-        proc = subprocess.run([sys.executable, "-m", "toroidal.cli", *argv], env=env,
+    # -OO drops docstrings; the usage text is a plain string, so it still prints.
+    for flags, argv, code in (([], ["--help"], 0), (["-OO"], ["--help"], 0), ([], ["frobnicate"], 1)):
+        proc = subprocess.run([sys.executable, *flags, "-m", "toroidal.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == code, argv
+        assert proc.returncode == code, (flags, argv)
         if code == 0:
             assert proc.stdout == cli.__doc__ and proc.stderr == ""
         else:

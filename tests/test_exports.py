@@ -68,3 +68,45 @@ def test_one_rule_cuts_every_value_a_message_shows():
                 widths.append((path.name, _width(node.upper)))
     assert sliced == []
     assert widths == [("laurent.py", "_MAX_QUOTED")]
+
+
+def _private_definitions(statement: ast.stmt) -> list[str]:
+    """The private module-level names (``_x``, not ``__x__``) a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def _references(statement: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_helper_is_used_by_the_library():
+    # A module-level private name serves the library: some other top-level
+    # statement of the package reads it, so none survives only for the tests.
+    statements = [
+        (path.name, statement)
+        for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    references = [_references(statement) for _, statement in statements]
+    defined = [(i, module, name) for i, (module, statement) in enumerate(statements)
+               for name in _private_definitions(statement)]
+    assert defined
+    unused = [f"{module}:{name}" for i, module, name in defined
+              if not any(name in refs for j, refs in enumerate(references) if j != i)]
+    assert unused == []

@@ -107,6 +107,22 @@ def test_values_of_different_types_with_equal_fields_differ():
     assert Sum((Torus(2, 3),)) != Torus(2, 3)
 
 
+def test_sequence_fields_are_kept_as_tuples():
+    from toroidal.reports import build_report
+
+    a, b = Torus(2, 3), Torus(2, 5)
+    for parts in ([a, b], (p for p in (a, b))):
+        summed = Sum(parts)
+        assert summed == Sum((a, b)) and hash(summed) == hash(Sum((a, b)))
+    with pytest.raises(ValueError, match="at least one part"):
+        Sum(p for p in ())
+    tupled = Tower("t", UNKNOT, prefix=(swallow(a),), cycle=(wind(2),))
+    for prefix, cycle in (([swallow(a)], [wind(2)]), ((s for s in [swallow(a)]), (wind(2),))):
+        listed = Tower("t", UNKNOT, prefix=prefix, cycle=cycle)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert validate_tower(listed).ok and build_report(listed) == build_report(tupled)
+
+
 def test_values_are_true_whatever_their_fields():
     assert bool(UNKNOT) is True
     for cls in TUPLE_TYPES:
