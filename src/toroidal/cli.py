@@ -34,7 +34,7 @@ _COMMANDS = {
     "tower": ("action", {"report": "file"}),
     "catalog": ("action", {"list": None, "report": "name"}),
 }
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+$|-[0-9]*\.[0-9]+$")
 
 
 class _UsageError(Exception):
@@ -44,7 +44,7 @@ class _UsageError(Exception):
 def _parse(argv: list[str]) -> tuple[list, bool]:
     """The command, its second word and its argument (``None`` for ``catalog
     list``, which takes none), and whether ``--json`` was given."""
-    from .laurent import quoted, quoted_if_long  # the one rule for a message that shows a word
+    from .laurent import quoted  # the one rule for a message that shows a word
 
     places = [("command", _COMMANDS)]  # each place's name, and its choices (None: any word)
     words, unknown, as_json = [], [], False
@@ -67,7 +67,7 @@ def _parse(argv: list[str]) -> tuple[list, bool]:
     if len(words) < len(places):
         raise _UsageError(f"the following arguments are required: {places[len(words)][0]}")
     if unknown:
-        raise _UsageError(f"unrecognized arguments: {' '.join(map(quoted_if_long, unknown))}")
+        raise _UsageError(f"unrecognized arguments: {' '.join(map(quoted, unknown))}")
     return words + [None] * (3 - len(words)), as_json
 
 
@@ -93,9 +93,14 @@ def _run_knot(invariant: str, text: str, as_json: bool, out) -> int:
 
 def _run_diagram(invariant: str, path: str, as_json: bool, out) -> int:
     from .diagrams import alexander_from_diagram, genus_bounds, parse_pd
+    from .laurent import quoted
 
     with open(path, "r", encoding="utf-8") as fh:
-        d = parse_pd(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{quoted(path)}: not UTF-8 text: {exc}") from exc
+    d = parse_pd(text)
     if invariant == "alexander":
         delta = alexander_from_diagram(d)
         _emit({"file": path, "alexander": str(delta)}, f"{delta}\n", as_json, out)

@@ -146,7 +146,7 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
 MAX_CROSSINGS = 100
 
 # A label past 2 * MAX_CROSSINGS breaks rule 3, so a label of four digits is a syntax error.
-_X = r"X\[\s*(\d{1,3})\s*,\s*(\d{1,3})\s*,\s*(\d{1,3})\s*,\s*(\d{1,3})\s*\]"
+_X = r"X\[\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*\]"
 _X_RE = re.compile(_X)
 # The longest run of separators and crossings: it ends at the first bad token.
 _PD_BODY = re.compile(rf"(?:[\s,]+|{_X})*")
@@ -160,19 +160,17 @@ def parse_pd(text: str) -> Diagram:
     sequentially labeled knot diagrams or that have more than
     :data:`MAX_CROSSINGS` crossings.
     """
-    stripped = text.strip()
-    if not stripped.startswith("PD["):
+    start = len(text) - len(text.lstrip())  # where "PD[" must stand
+    close = len(text.rstrip()) - 1  # where "]" must stand
+    if not text.startswith("PD[", start):
         raise PDSyntaxError("expected 'PD['", 0)
-    if not stripped.endswith("]"):
+    if text[close] != "]":
         raise PDSyntaxError("expected closing ']'", len(text))
-    inner = stripped[len("PD["):-1]
-    body = inner.strip()
-    pos = _PD_BODY.match(body).end()
-    if pos < len(body):
-        # The body starts after the text's and the bracket's leading whitespace.
-        start = len(text) - len(text.lstrip()) + len("PD[") + len(inner) - len(inner.lstrip())
-        raise PDSyntaxError(f"expected X[a,b,c,d], got {quoted(body[pos:])}", start + pos)
-    quads = [tuple(map(int, quad)) for quad in _X_RE.findall(body)]
+    pos = _PD_BODY.match(text, start + 3, close).end()
+    if pos < close:
+        rest = text[pos:close].rstrip()
+        raise PDSyntaxError(f"expected X[a,b,c,d], got {quoted(rest)}", pos)
+    quads = [tuple(map(int, quad)) for quad in _X_RE.findall(text, start + 3, close)]
     if len(quads) > MAX_CROSSINGS:
         raise PDValidationError(
             f"PD code has {len(quads)} crossings; the limit is {MAX_CROSSINGS}"

@@ -129,7 +129,7 @@ class KnotGenus(value_type("KnotGenus", "lower upper")):
 
     ``upper`` is ``None`` when no finite upper bound is known.
 
-    >>> print(KnotGenus.exact(2), KnotGenus(1, None), KnotGenus(1, 3))
+    >>> print(KnotGenus(2, 2), KnotGenus(1, None), KnotGenus(1, 3))
     2 [1, unbounded] [1, 3]
     """
 
@@ -141,10 +141,6 @@ class KnotGenus(value_type("KnotGenus", "lower upper")):
         if upper is not None and upper < lower:
             raise ValueError("genus upper bound below lower bound")
         return tuple.__new__(cls, (lower, upper))
-
-    @classmethod
-    def exact(cls, g: int) -> KnotGenus:
-        return cls(g, g)
 
     @property
     def is_exact(self) -> bool:
@@ -303,7 +299,7 @@ TABLE_KNOTS: dict[str, Table] = {
     "5_2": Table("5_2", genus=1, delta=parse_poly("2 - 3*t + 2*t^2"), prime=True),
 }
 
-_TORUS_RE = re.compile(r"\s*torus\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TORUS_RE = re.compile(r"\s*torus\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 _TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
 _SPACE = re.compile(r"\s*")
 

@@ -18,8 +18,10 @@ The text form accepted by :func:`parse_poly` and produced by ``str()`` is
     tpow  :=  "t" [ "^" SIGNED_INT ]
 
 with terms printed in ascending exponent order, e.g. ``1 - t + t^2`` or
-``t^-1 + t``.  Whitespace is ignored when parsing.  Every message of the
-package shows a value it was given through :func:`quoted`, the one cut.
+``t^-1 + t``.  ``INT`` is a run of ASCII digits ``0-9``; whitespace is
+ignored when parsing.  Every message of the package shows a value it was
+given, unknown command-line words and file paths included, through
+:func:`quoted`: one rule, which escapes control characters and cuts.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact", "quoted",
-           "quoted_if_long"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly", "value_type", "kept_fact", "quoted"]
 
 
 def _frozen(self, name: str, *value) -> None:
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {quoted(name)}")
 
 
 def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
@@ -99,12 +100,6 @@ def quoted(value) -> str:
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
     return text if len(text) <= _MAX_QUOTED else text[:_MAX_QUOTED] + f"... ({len(text)} characters)"
-
-
-def quoted_if_long(text: str, width: int = _MAX_QUOTED) -> str:
-    """``text`` itself when its ``repr`` has at most ``width`` characters, else
-    ``quoted(text)``: for a message that has always shown short text bare."""
-    return text if len(repr(text)) <= width else quoted(text)
 
 
 # Most pairs of terms one computation multiplies: one product, or all the
@@ -261,10 +256,10 @@ T = LaurentPoly({1: 1})
 # One token each: INT, a power of t, or an operator.  _LEXED spans the
 # longest run of tokens and whitespace, so it ends at the first bad character.
 # _TERM takes one optional term and the whitespace around it.
-_TPOW = r"t(?:\^-?\d+)?"
-_TOKEN = re.compile(rf"\d+|{_TPOW}|[+*-]")
+_TPOW = r"t(?:\^-?[0-9]+)?"
+_TOKEN = re.compile(rf"[0-9]+|{_TPOW}|[+*-]")
 _LEXED = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
-_TERM = re.compile(rf"\s*(?:(\d+)(?:\s*(\*)\s*({_TPOW})?)?|({_TPOW}))?\s*")
+_TERM = re.compile(rf"\s*(?:([0-9]+)(?:\s*(\*)\s*({_TPOW})?)?|({_TPOW}))?\s*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -291,7 +286,7 @@ def parse_poly(text: str) -> LaurentPoly:
         digits, tpow = m[1], m[3] or m[4]
         if digits is None and tpow is None:
             pos = m.end()
-            why = "expected a term" if pos == len(text) else f"unexpected {text[pos]!r}"
+            why = "expected a term" if pos == len(text) else f"unexpected {quoted(text[pos])}"
             break
         coeff = sign * int(digits) if digits else sign
         if m[2] and not m[3]:

@@ -71,7 +71,7 @@ from .knots import (
     prime_summands,
     satellite_alexander,
 )
-from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, quoted, quoted_if_long, value_type
+from .laurent import ONE, LaurentPoly, kept_fact, parse_poly, quoted, value_type
 
 __all__ = [
     "StageKind",
@@ -931,8 +931,8 @@ def distinguish_connected_sums(a: Tower, b: Tower) -> DistinguishResult:
     return DistinguishResult(
         "inequivalent",
         str(k),
-        f"summand {k} occurs {ma.get(k, 0)} times in {a.name!r} "
-        f"but {mb.get(k, 0)} times in {b.name!r}",
+        f"summand {k} occurs {ma.get(k, 0)} times in {quoted(a.name)} "
+        f"but {mb.get(k, 0)} times in {quoted(b.name)}",
     )
 
 
@@ -1024,17 +1024,17 @@ def _field(obj: dict, key: str, where: str, kind: type, default=..., parse=None)
     none.  Null means unknown and passes only where that is the default."""
     if key not in obj:
         if default is ...:
-            raise ValueError(f"{where}: missing field {key!r}")
+            raise ValueError(f"{where}: missing field {quoted(key)}")
         return default
     value = obj[key]
     if value is None and default is None:
         return value
     if type(value) is not kind:
-        raise ValueError(f"{where}: {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {quoted(value)}")
+        raise ValueError(f"{where}: {quoted(key)} must be {_JSON_TYPE_NAMES[kind]}, got {quoted(value)}")
     try:
         return value if parse is None else parse(value)
     except ValueError as exc:  # a grammar error, worded to name the field
-        raise ValueError(f"{where}: {key!r}: {exc}") from None
+        raise ValueError(f"{where}: {quoted(key)}: {exc}") from None
 
 
 def _stage_from_dict(obj: dict, where: str) -> Stage:
@@ -1109,15 +1109,10 @@ def tower_to_dict(tower: Tower) -> dict:
     return out
 
 
-# A message shows a path of up to this many characters (the longest file name
-# most file systems allow) bare, as it always has; a longer one is quoted, so cut.
-_MAX_BARE_PATH = 255
-
-
 def load_tower(path: str | PathLike[str]) -> Tower:
     """Read a tower description file (JSON, schema version 1)."""
     with open(path, "r", encoding="utf-8") as fh:
-        name = quoted_if_long(str(path), _MAX_BARE_PATH)
+        name = quoted(str(path))
         try:
             obj = json.load(fh)
         except UnicodeDecodeError as exc:

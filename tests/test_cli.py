@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from toroidal import cli
 from toroidal.catalog import CATALOG_DIR_ENV
 from toroidal.cli import main
 from toroidal.knots import Torus
-from toroidal.laurent import LaurentPoly
+from toroidal.laurent import LaurentPoly, quoted
 from toroidal.towers import Tower, core_parallel, tower_to_dict, wind
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -409,7 +410,7 @@ def test_an_unreadable_catalog_file_fails_every_catalog_command(tmp_path, monkey
                  ["catalog", "report", "good"], ["catalog", "report", "nope"]):
         code, out, err = run(argv)
         assert code == 2 and out == "", argv
-        assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"error: {quoted(str(bad))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
     assert run(["catalog", "report", "mask:1"])[0] == 0
 
@@ -558,6 +559,8 @@ _LONG_INTEGER = '{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % 
 _BAD_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 - t +"}]})
 _BAD_KNOT = json.dumps({"initial": "unknot", "cycle": [{"kind": "swallow", "knot": "torus(2,3) zzz"}]})
 _BAD_INITIAL = json.dumps({"initial": "torus(2,4)", "cycle": [{"kind": "core_parallel"}]})
+# Digits other than ASCII 0-9 (here Arabic-Indic) are no INT of any grammar.
+_EASTERN_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "\u0663 - t^\u0662"}]})
 # Torus parameters of 2,201 digits: their genus would have about 4,400 digits.
 _HUGE_TORUS = f"torus({10**2200 + 1},{10**2200 + 2})"
 _HUGE_INITIAL = json.dumps({"initial": _HUGE_TORUS, "cycle": [{"kind": "core_parallel"}]})
@@ -575,7 +578,7 @@ _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
     (["tower", "report"], _NOT_UTF8, "can't decode"),
-    (["diagram", "alexander"], _NOT_UTF8, "can't decode"),
+    (["diagram", "alexander"], _NOT_UTF8, "{input}: not UTF-8 text: 'utf-8' codec can't decode"),
     (["tower", "report"], _DEEP_JSON, "nested too deeply"),
     (["tower", "report"], _DEEP_NAME, "nested too deeply"),
 ]
@@ -584,17 +587,19 @@ _HOSTILE_FILES = [
 # not UTF-8, long unread knot text in an argument or a tower file, an
 # integer too long to convert, grammar errors in a tower file's fields, a
 # long mask, torus parameters too long to read, in an argument or a tower
-# file, a long path, and a catalog of many long names.  A catalog command
-# finds its files in the catalog directory.  "-" and a negative number are
-# words, not options: a file name and a catalog name.
+# file, a long path, a catalog of many long names, and digits other than
+# ASCII 0-9 in each grammar.  A catalog command finds its files in the
+# catalog directory; ``{name}`` stands for how a message shows the file
+# ``name`` there, its path quoted.  "-" and a negative number are words, not
+# options: a file name and a catalog name.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
-    (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "bad.json: not UTF-8 text"),
+    (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "{bad.json}: not UTF-8 text"),
     (["knot", "genus", "unknot " + "x" * 10**5], None, "trailing input in knot expression: 'xxx"),
     (["knot", "genus", f"table({'a' * 10**5})"], None, "unknown table knot 'aaa"),
     (["tower", "report", _FILE], _LONG_INITIAL, "tower: 'initial': trailing input in knot expression: 'xxx"),
-    (["tower", "report", _FILE], _LONG_INTEGER, "input: not valid JSON: Exceeds the limit"),
+    (["tower", "report", _FILE], _LONG_INTEGER, "{input}: not valid JSON: Exceeds the limit"),
     (["tower", "report", _FILE], _BAD_DELTA,
      "cycle[0]: 'pattern_delta': polynomial syntax error at position 7: expected a term"),
     (["tower", "report", _FILE], _BAD_KNOT, "cycle[0]: 'knot': trailing input in knot expression: 'zzz'"),
@@ -624,15 +629,22 @@ _BAD_VALUES = [
      "unknown catalog tower 'nope'; 'toroidal catalog list' names them all"),
     (["diagram", "genus", "-"], None, "No such file or directory: '-'"),
     (["catalog", "report", "-5"], None, "unknown catalog tower '-5'"),
+    (["knot", "genus", "torus(\u0662,\u0663)"], None, "malformed knot expression near 'torus(\u0662,\u0663)'"),
+    (["tower", "report", _FILE], _EASTERN_DELTA,
+     "cycle[0]: 'pattern_delta': polynomial syntax error at position 0: '\u0663 - t^\u0662'"),
+    (["diagram", "genus", _FILE], "PD[X[\u0661,\u0664,\u0662,\u0665]]",
+     "PD syntax error at position 3: expected X[a,b,c,d], got 'X[\u0661,\u0664,\u0662,\u0665]'"),
 ]
-# Usage errors that once echoed a long argument whole, and a flag's
-# abbreviation, which is not read as the flag: they exit 1.
+# Usage errors that once echoed a long argument whole, a flag's
+# abbreviation, which is not read as the flag, and a "negative number" in
+# digits other than ASCII, which is an option: they exit 1.
 _BAD_USAGE = [
     (["x" * 10**5], None, "argument command: invalid choice: 'xxx"),
     (["knot", "x" * 10**5], None, "argument invariant: invalid choice: 'xxx"),
     (["knot", "genus", "unknot", "y" * 10**5], None, "unrecognized arguments: 'yyy"),
     (["--json=" + "x" * 10**5], None, "argument --json: ignored explicit argument 'xxx"),
-    (["--js", "catalog", "list"], None, "unrecognized arguments: --js"),
+    (["--js", "catalog", "list"], None, "unrecognized arguments: '--js'"),
+    (["-\u0663", "catalog", "list"], None, "unrecognized arguments: '-\u0663'"),
 ]
 
 
@@ -651,6 +663,12 @@ def _run_with_input(directory: Path | None, argv: list, content) -> tuple[int, s
         env[CATALOG_DIR_ENV] = str(directory)
     with mock.patch.dict(os.environ, env):
         return run(argv)
+
+
+def _naming(problem: str, directory: Path) -> str:
+    """``problem`` with each ``{name}`` in it replaced by the quoted path of
+    the file ``name`` in ``directory``, as a message shows that file."""
+    return re.sub(r"\{([\w.]+)\}", lambda m: quoted(str(directory / m[1])), problem)
 
 
 def _input_file(directory: Path, content) -> str:
@@ -717,7 +735,7 @@ def test_hostile_input_ends_in_an_exit_status(tmp_path_factory, case, as_json):
 def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, problem):
     code, out, err = run(command + [_input_file(tmp_path, content)])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and _naming(problem, tmp_path) in err
 
 
 @pytest.mark.parametrize(
@@ -728,19 +746,21 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
          "huge-torus", "huge-torus-initial", "huge-torus-knot", "long-torus", "long-genus",
          "long-tower-genus", "long-catalog-name", "long-delta-token", "long-label", "label-past-int-limit",
          "long-diagram-path", "long-tower-path", "long-path-to-bad-json", "many-long-catalog-names",
-         "dash-is-a-file", "negative-number-is-a-name"],
+         "dash-is-a-file", "negative-number-is-a-name", "non-ascii-torus", "non-ascii-delta",
+         "non-ascii-label"],
 )
 def test_bad_input_gets_one_short_line_naming_it(tmp_path, argv, content, problem):
     code, out, err = _run_with_input(tmp_path, argv, content)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and _naming(problem, tmp_path) in err
     assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize(
     "argv, content, problem",
     _BAD_USAGE,
-    ids=["long-command", "long-invariant", "long-extra-argument", "long-flag-argument", "abbreviated-flag"],
+    ids=["long-command", "long-invariant", "long-extra-argument", "long-flag-argument", "abbreviated-flag",
+         "non-ascii-negative-number"],
 )
 def test_bad_usage_gets_one_short_line_naming_it(argv, content, problem):
     code, out, err = run(argv)

@@ -54,12 +54,15 @@ def _width(bound: ast.expr | None) -> str | None:
 
 def test_one_rule_cuts_every_value_a_message_shows():
     # A message shows a value through laurent.quoted; no f-string formats a
-    # slice of its own, and the one cut width is stated in laurent alone.
-    sliced, widths = [], []
+    # slice of its own or a bare repr (``{x!r}``, which neither cuts nor
+    # marks), and the one cut width is stated in laurent alone.
+    sliced, reprs, widths = [], [], []
     for path in sorted(Path(toroidal.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.FormattedValue):
+                if node.conversion == ord("r"):
+                    reprs.append(f"{path.name}:{node.lineno}")
                 # A cut anywhere inside (``{quoted(s[:40])}``), or a formatted slice itself (``{s[i:]!r}``).
                 whole = getattr(node.value, "slice", None)
                 sliced += [f"{path.name}:{node.lineno}" for sub in ast.walk(node.value)
@@ -67,7 +70,20 @@ def test_one_rule_cuts_every_value_a_message_shows():
             elif isinstance(node, ast.Slice) and _width(node.upper) is not None:
                 widths.append((path.name, _width(node.upper)))
     assert sliced == []
+    assert reprs == []
     assert widths == [("laurent.py", "_MAX_QUOTED")]
+
+
+def test_every_grammar_reads_ascii_digits_only():
+    # ``\d`` also matches other scripts' digits (Arabic-Indic, Devanagari, ...),
+    # which int() converts; every INT of the grammars is ASCII 0-9.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value
+    ]
+    assert found == []
 
 
 def _private_definitions(statement: ast.stmt) -> list[str]:
