@@ -43,28 +43,29 @@ arcs receive ``t``/``-1`` at a positive crossing and ``-1``/``t`` at a
 negative one.  Deleting one row and one column and taking the determinant
 gives the Alexander polynomial.
 
-The determinant is one integer computation (Kronecker substitution).  The
-minor is built once as sparse integer rows, straight from the crossings:
-every entry is ``c0 + c1 t``.  On the unit circle such an entry is at most
-``|c0| + |c1|`` in absolute value, so Hadamard's inequality bounds the
-determinant there, and hence each of its coefficients, by
-``sqrt(prod_rows sum_entries (|c0| + |c1|)^2)``, which is below
-``C = isqrt(...) + 1``.  The minor is evaluated at ``t = B = 2C + 1`` and
-its integer determinant is taken by a sparse Bareiss elimination: rows are
-dicts, a column index lists the rows that are nonzero in each column, and
-each step pivots on the sparsest column and, in it, the sparsest row
-(Markowitz 1957).  The fraction-free update of Bareiss (1968) divides
-exactly, and a row that a step leaves alone is rescaled only when it is
-next used, so each step touches only the rows that are nonzero in its
-pivot column.  The polynomial is read back as the balanced base-``B``
-digits of the determinant, each in ``[-C, C]``.
+The determinant is one integer computation (Kronecker substitution).
+Every entry of the minor is ``c0 + c1 t``, at most ``|c0| + |c1|`` on the
+unit circle, and a row holds ``t``, ``-1`` and ``1 - t``: their squares sum
+to at most 6 (2 when the over-arc is an under-arc).  So Hadamard's
+inequality bounds the determinant on the circle, hence each coefficient,
+by ``sqrt(6^(n - 1))``, below ``C = isqrt(6^(n - 1)) + 1``.  The minor is
+built once as sparse integer rows at ``t = B = 2C + 1``, and its integer
+determinant is taken by a sparse Bareiss elimination: rows are dicts, a
+column index lists the rows nonzero in each column and a list counts them,
+and each step pivots on the sparsest column (one ``min`` over the counts,
+in C) and, in it, the sparsest row (Markowitz 1957).  The fraction-free
+update of Bareiss (1968) divides exactly, and a row that a step leaves
+alone is rescaled only when it is next used, so each step touches only
+the rows that are nonzero in its pivot column.  The polynomial is read
+back as the balanced base-``B`` digits of the determinant, each in
+``[-C, C]``.
 
 The polynomial is computed once per :class:`Diagram`, when
 :func:`alexander_from_diagram` or :func:`genus_bounds` first asks for it.
 A code may have at most :data:`MAX_CROSSINGS` crossings.  At that size the
-closures of torus braids take at most about 60 ms (T(2,99) 3 ms, T(11,10)
-33 ms, T(3,50) 56 ms) and closures of random positive braids up to about
-0.2 s (Xeon, Python 3.11).
+closures of torus braids take at most about 45 ms (T(2,99) 2 ms, T(11,10)
+33 ms, T(3,50) 42 ms; best of 25, Xeon, Python 3.11) and closures of random
+positive braids up to about 0.2 s.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
 MAX_CROSSINGS = 100
 
 # A label past 2 * MAX_CROSSINGS breaks rule 3, so a label of four digits is a syntax error.
-_X = r"X\[\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*,\s*([0-9]{1,3})\s*\]"
+_X = r"X\[" + r",".join([r"[ \t\r\n]*([0-9]{1,3})[ \t\r\n]*"] * 4) + r"\]"
 _X_RE = re.compile(_X)
 # The longest run of separators and crossings: it ends at the first bad token.
-_PD_BODY = re.compile(rf"(?:[\s,]+|{_X})*")
+_PD_BODY = re.compile(rf"(?:[ \t\r\n,]+|{_X})*")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -160,15 +161,15 @@ def parse_pd(text: str) -> Diagram:
     sequentially labeled knot diagrams or that have more than
     :data:`MAX_CROSSINGS` crossings.
     """
-    start = len(text) - len(text.lstrip())  # where "PD[" must stand
-    close = len(text.rstrip()) - 1  # where "]" must stand
+    start = len(text) - len(text.lstrip(" \t\r\n"))  # where "PD[" must stand
+    close = len(text.rstrip(" \t\r\n")) - 1  # where "]" must stand
     if not text.startswith("PD[", start):
         raise PDSyntaxError("expected 'PD['", 0)
     if text[close] != "]":
         raise PDSyntaxError("expected closing ']'", len(text))
     pos = _PD_BODY.match(text, start + 3, close).end()
     if pos < close:
-        rest = text[pos:close].rstrip()
+        rest = text[pos:close].rstrip(" \t\r\n")
         raise PDSyntaxError(f"expected X[a,b,c,d], got {quoted(rest)}", pos)
     quads = [tuple(map(int, quad)) for quad in _X_RE.findall(text, start + 3, close)]
     if len(quads) > MAX_CROSSINGS:
@@ -281,15 +282,21 @@ def _bareiss(rows: list[dict[int, int]]) -> int:
     for i, row in enumerate(rows):
         for j in row:
             where[j].add(i)
+    count = list(map(len, where))  # count[j] == len(where[j]), kept in step
     level = [0] * n  # the step each row's values belong to
     pivots = [1]  # pivots[s]: the pivot of step s - 1, the divisor of step s
     rows_left, cols_left = list(range(n)), list(range(n))
     flips = 0  # pivot positions summed; the determinant's sign is (-1)^flips
     for k in range(n):
-        c = min(cols_left, key=lambda j: (len(where[j]), j))
-        if not where[c]:
+        # cols_left is ascending, so min keeps the lowest of the sparsest columns.
+        c = min(cols_left, key=count.__getitem__)
+        column = where[c]
+        if not column:
             return 0
-        r = min(where[c], key=lambda i: (len(rows[i]), i))
+        if count[c] == 1:
+            (r,) = column
+        else:
+            r = min(column, key=lambda i: (len(rows[i]), i))
         # Expanding along the pivot's row and column, at positions i and j
         # among those left, multiplies the determinant by (-1)^(i + j).
         i, j = bisect_left(rows_left, r), bisect_left(cols_left, c)
@@ -302,7 +309,8 @@ def _bareiss(rows: list[dict[int, int]]) -> int:
         p = top.pop(c)
         for j in top:
             where[j].discard(r)
-        for i in where[c]:
+            count[j] -= 1
+        for i in column:
             if i == r:
                 continue
             row = rows[i]
@@ -310,6 +318,7 @@ def _bareiss(rows: list[dict[int, int]]) -> int:
             divisor = pivots[level[i]]
             for j in top.keys() - row.keys():
                 where[j].add(i)
+                count[j] += 1
             new = {}
             for j in row.keys() | top.keys():
                 v = (p * row.get(j, 0) - lead * top.get(j, 0)) // divisor
@@ -317,32 +326,21 @@ def _bareiss(rows: list[dict[int, int]]) -> int:
                     new[j] = v
                 else:
                     where[j].discard(i)
+                    count[j] -= 1
             rows[i] = new
             level[i] = k + 1
         pivots.append(p)
     return -pivots[-1] if flips % 2 else pivots[-1]
 
 
-def _det_kronecker(rows: list[dict[int, tuple[int, ...]]]) -> LaurentPoly:
-    """Determinant of a square matrix over Z[t] given as sparse rows.
+def _balanced_digits(value: int, base: int) -> LaurentPoly:
+    """The polynomial whose coefficient of ``t^e`` is digit ``e`` of ``value``
+    in balanced base ``base`` (odd), each in ``[-(base // 2), base // 2]``.
 
-    Row ``i`` maps columns ``0..n-1`` to its nonzero entries, each a tuple
-    of coefficients ``(c0, c1, ...)`` of ``c0 + c1 t + ...``.  Evaluates at
-    ``t = B`` above twice the Hadamard bound, takes one integer determinant
-    and decodes it as balanced base-``B`` digits (see the module docstring).
-
-    >>> print(_det_kronecker([{0: (1, -1), 1: (0, 1)}, {0: (-1,), 1: (1, -1)}]))
+    >>> print(_balanced_digits(1 - 7 + 7**2, 7))
     1 - t + t^2
     """
-    square = 1
-    for row in rows:
-        square *= sum(sum(map(abs, entry)) ** 2 for entry in row.values())
-    bound = isqrt(square) + 1
-    base = 2 * bound + 1
-    value = _bareiss([
-        {j: sum(c * base**e for e, c in enumerate(entry)) for j, entry in row.items()}
-        for row in rows
-    ])
+    bound = base // 2
     coeffs: dict[int, int] = {}
     exp = 0
     while value:
@@ -357,11 +355,13 @@ def _det_kronecker(rows: list[dict[int, tuple[int, ...]]]) -> LaurentPoly:
 
 def _alexander_minor(d: Diagram, drop_row: int, drop_col: int) -> LaurentPoly:
     """Canonical determinant of the Wirtinger matrix of a nonempty diagram
-    less row ``drop_row`` and column ``drop_col``."""
+    less row ``drop_row`` and column ``drop_col``, evaluated at ``t = B``
+    and decoded (see the module docstring)."""
+    base = 2 * (isqrt(6 ** (d.n - 1)) + 1) + 1
     rows = _wirtinger_rows(d)
     del rows[drop_row]
-    minor = [{j - (j > drop_col): v for j, v in row.items() if j != drop_col} for row in rows]
-    return _det_kronecker(minor).canonical()
+    minor = [{j - (j > drop_col): c0 + c1 * base for j, (c0, c1) in row.items() if j != drop_col} for row in rows]
+    return _balanced_digits(_bareiss(minor), base).canonical()
 
 
 def alexander_from_diagram(d: Diagram) -> LaurentPoly:

@@ -299,9 +299,9 @@ TABLE_KNOTS: dict[str, Table] = {
     "5_2": Table("5_2", genus=1, delta=parse_poly("2 - 3*t + 2*t^2"), prime=True),
 }
 
-_TORUS_RE = re.compile(r"\s*torus\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
-_TABLE_RE = re.compile(r"table\(\s*([A-Za-z0-9_]+)\s*\)")
-_SPACE = re.compile(r"\s*")
+_TORUS_RE = re.compile(r"[ \t\r\n]*torus\([ \t\r\n]*([0-9]+)[ \t\r\n]*,[ \t\r\n]*([0-9]+)[ \t\r\n]*\)")
+_TABLE_RE = re.compile(r"table\([ \t\r\n]*([A-Za-z0-9_]+)[ \t\r\n]*\)")
+_SPACE = re.compile(r"[ \t\r\n]*")
 
 # Parsing recurses once per ``sum(`` level; the cap keeps deep input a
 # ValueError.  It costs nothing, since normalizing flattens sums.
@@ -314,10 +314,10 @@ _MAX_TORUS_DIGITS = 1000
 
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot-expression grammar; the result is normalized."""
-    text = text.strip()
+    text = text.strip(" \t\r\n")
     expr, pos = _parse_expr(text, 0)
     if pos < len(text):  # the stripped text ends in no whitespace
-        raise ValueError(f"trailing input in knot expression: {quoted(text[pos:].strip())}")
+        raise ValueError(f"trailing input in knot expression: {quoted(text[_SPACE.match(text, pos).end():])}")
     return normalize(expr)
 
 

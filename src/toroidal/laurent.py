@@ -18,8 +18,8 @@ The text form accepted by :func:`parse_poly` and produced by ``str()`` is
     tpow  :=  "t" [ "^" SIGNED_INT ]
 
 with terms printed in ascending exponent order, e.g. ``1 - t + t^2`` or
-``t^-1 + t``.  ``INT`` is a run of ASCII digits ``0-9``; whitespace is
-ignored when parsing.  Every message of the package shows a value it was
+``t^-1 + t``.  ``INT`` is a run of ASCII digits ``0-9``; ASCII whitespace
+(space, tab, CR, LF) is ignored when parsing, and no other.  Every message of the package shows a value it was
 given, unknown command-line words and file paths included, through
 :func:`quoted`: one rule, which escapes control characters and cuts.
 """
@@ -94,12 +94,21 @@ _MAX_QUOTED = 60
 
 def quoted(value) -> str:
     """``repr(value)``, cut and marked when longer than ``_MAX_QUOTED`` so that a
-    message stays one short line; an integer too long to print gives its bit length."""
+    message stays one short line; an integer too long to print gives its bit length.
+
+    A cut keeps both ends, half of ``_MAX_QUOTED`` each, so a long path still
+    names its file:
+
+    >>> print(quoted("/" + "d/" * 40 + "bad.json"))
+    '/d/d/d/d/d/d/d/d/d/d/d/d/d/d/.../d/d/d/d/d/d/d/d/d/d/bad.json' (91 characters)
+    """
     try:
         text = repr(value)
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
-    return text if len(text) <= _MAX_QUOTED else text[:_MAX_QUOTED] + f"... ({len(text)} characters)"
+    if len(text) <= _MAX_QUOTED:
+        return text
+    return text[:_MAX_QUOTED // 2] + "..." + text[-(_MAX_QUOTED // 2):] + f" ({len(text)} characters)"
 
 
 # Most pairs of terms one computation multiplies: one product, or all the
@@ -258,8 +267,8 @@ T = LaurentPoly({1: 1})
 # _TERM takes one optional term and the whitespace around it.
 _TPOW = r"t(?:\^-?[0-9]+)?"
 _TOKEN = re.compile(rf"[0-9]+|{_TPOW}|[+*-]")
-_LEXED = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
-_TERM = re.compile(rf"\s*(?:([0-9]+)(?:\s*(\*)\s*({_TPOW})?)?|({_TPOW}))?\s*")
+_LEXED = re.compile(rf"(?:[ \t\r\n]+|{_TOKEN.pattern})*")
+_TERM = re.compile(rf"[ \t\r\n]*(?:([0-9]+)(?:[ \t\r\n]*(\*)[ \t\r\n]*({_TPOW})?)?|({_TPOW}))?[ \t\r\n]*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -273,10 +282,10 @@ def parse_poly(text: str) -> LaurentPoly:
     pos = _LEXED.match(text).end()
     if pos < len(text):
         raise ValueError(f"polynomial syntax error at position {pos}: {quoted(text[pos:])}")
-    if not text.strip():
+    if not text.strip(" \t\r\n"):
         raise ValueError("empty polynomial text")
     terms: dict[int, int] = {0: 0}
-    pos = len(text) - len(text.lstrip())
+    pos = len(text) - len(text.lstrip(" \t\r\n"))
     while True:
         # The first term's sign is optional; every later one has its sign.
         sign = -1 if text[pos] == "-" else 1

@@ -32,12 +32,12 @@ from toroidal.diagrams import (
     seifert_circle_count,
     seifert_genus_upper,
     _alexander_minor,
+    _balanced_digits,
     _bareiss,
-    _det_kronecker,
     _wirtinger_rows,
 )
 from toroidal.knots import Sum, TABLE_KNOTS, Torus, alexander_of_knot, genus_of_knot
-from toroidal.laurent import ONE, ZERO, LaurentPoly, parse_poly
+from toroidal.laurent import ONE, T, ZERO, LaurentPoly, parse_poly
 from toroidal.towers import (
     Tower,
     core_parallel,
@@ -84,19 +84,6 @@ def dense(rows: list[dict[int, tuple[int, ...]]], n: int) -> list[list[LaurentPo
     return [[LaurentPoly(dict(enumerate(row.get(j, ())))) for j in range(n)] for row in rows]
 
 
-def sparse(rows: list[list[LaurentPoly]]) -> list[dict[int, tuple[int, ...]]]:
-    """A matrix over Z[t] as sparse rows of coefficient tuples."""
-    out = []
-    for row in rows:
-        entries = {}
-        for j, entry in enumerate(row):
-            if not entry.is_zero():
-                coeffs = dict(entry.terms)
-                entries[j] = tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
-        out.append(entries)
-    return out
-
-
 # -- parsing ----------------------------------------------------------------
 
 
@@ -132,8 +119,12 @@ PD_SYNTAX_ERRORS = [
     (" PD[ X[1,4,2,5]; X[3,6,4,1]]", 15, "expected X[a,b,c,d], got '; X[3,6,4,1]'"),
     # A label of four digits breaks rule 3 whatever it is, so it is read as no crossing.
     ("PD[X[1,2,3,1000]]", 3, "expected X[a,b,c,d], got 'X[1,2,3,1000]'"),
+    # Whitespace is ASCII: space, tab, CR and LF.
+    ("PD[X[1,4,2,5],\x0cX[3,6,4,1],X[5,2,6,3]]", 14, "expected X[a,b,c,d], got '\\x0cX[3,6,4,1],X[5,2,6,3]'"),
+    ("\x0cPD[]", 0, "expected 'PD['"),
+    ("PD[]\x0c", 5, "expected closing ']'"),
     # A message quotes at most 60 characters of what it could not read.
-    ("PD[" + "Y" * 100 + "]", 3, f"expected X[a,b,c,d], got '{'Y' * 59}... (102 characters)"),
+    ("PD[" + "Y" * 100 + "]", 3, f"expected X[a,b,c,d], got '{'Y' * 29}...{'Y' * 29}' (102 characters)"),
 ]
 
 
@@ -326,9 +317,56 @@ def _matrices(draw):
     return rows
 
 
+def det_at_base(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """The determinant of a matrix over Z[t] the way the library takes one:
+    at ``t = B`` above twice its Hadamard bound on the unit circle, by
+    ``_bareiss``, then decoded as balanced base-``B`` digits."""
+    square = 1
+    for row in rows:
+        square *= sum(sum(abs(c) for _, c in entry.terms) ** 2 for entry in row)
+    base = 2 * (math.isqrt(square) + 1) + 1
+    at_base = [{j: sum(c * base**e for e, c in entry.terms) for j, entry in enumerate(row)} for row in rows]
+    return _balanced_digits(_bareiss([{j: v for j, v in row.items() if v} for row in at_base]), base)
+
+
 @given(_matrices())
-def test_det_kronecker_matches_cofactor_expansion(rows):
-    assert _det_kronecker(sparse(rows)) == cofactor_det(rows)
+def test_determinant_at_a_base_matches_cofactor_expansion(rows):
+    assert det_at_base(rows) == cofactor_det(rows)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10**20])
+def test_balanced_digits_reach_the_bound(bound):
+    # B = 2C + 1 decodes every coefficient in [-C, C], the ends included.
+    base = 2 * bound + 1
+    for coeffs in [(bound,), (-bound,), (bound, -bound), (-bound, bound, 0, -bound), (0, bound, bound)]:
+        value = sum(c * base**e for e, c in enumerate(coeffs))
+        assert _balanced_digits(value, base) == LaurentPoly(dict(enumerate(coeffs)))
+
+
+@st.composite
+def _diagram_quads(draw):
+    """Connected sums of one to three summands, each a one-crossing kink or
+    the braid closure of a torus knot of up to 12 crossings, some mirrored."""
+    torus = st.sampled_from([(p, q) for p in range(2, 5) for q in range(2, 13 // (p - 1)) if math.gcd(p, q) == 1])
+    quads = []
+    for _ in range(draw(st.integers(1, 3))):
+        summand = [(1, 2, 2, 1)] if draw(st.booleans()) else braid_closure_quads(*draw(torus))
+        summand = mirror_quads(summand) if draw(st.booleans()) else summand
+        quads = connected_sum_quads(quads, summand) if quads else summand
+    return quads
+
+
+@settings(deadline=None)
+@given(_diagram_quads())
+def test_alexander_minor_meets_its_bound_and_matches_cofactor_expansion(quads):
+    d = parse_pd(pd_text(quads))
+    rows = _wirtinger_rows(d)
+    # The premise of the closed-form bound 6^((n - 1) / 2): every row's
+    # entries t, -1 and 1 - t, or fewer when arcs coincide.
+    assert all(sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()) <= 6 for row in rows)
+    if d.n <= 8:
+        minor = [row[:-1] for row in dense(rows, d.n)[:-1]]
+        assert _alexander_minor(d, d.n - 1, d.n - 1) == cofactor_det(minor).canonical()
 
 
 # -- the sparse integer elimination against cofactor expansion --------------
@@ -388,7 +426,7 @@ def test_bareiss_examples():
                    {3: 2, 4: 5, 5: 7}, {0: -2}, {1: 2, 2: 5}])
     assert _bareiss([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 0  # singular
     assert _bareiss([{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 6}]) == 0  # column 2 is empty
-    assert _det_kronecker([{0: (1, 1)}, {0: (0, 1)}]) == ZERO
+    assert det_at_base([[ONE + T, ZERO], [T, ZERO]]) == ZERO  # column 1 is empty
     assert _bareiss([]) == 1
 
 

@@ -38,11 +38,12 @@ def test_reports_imports_only_public_tower_names():
         assert private == [], name
 
 
-def _width(bound: ast.expr | None) -> str | None:
-    """The fixed width a slice's upper bound states: a positive integer
-    literal (``[:40]``, ``[pos:pos + 12]``) or a constant's name.  A negative
-    bound (``[:-3]``) counts from the end and states none."""
-    if bound is None or isinstance(bound, ast.UnaryOp):
+def _width(bound: ast.expr | None, from_end: bool = False) -> str | None:
+    """The fixed width a slice's bound states: a positive integer literal
+    (``[:40]``, ``[pos:pos + 12]``) or a constant's name in its upper bound,
+    or the same negated in its lower bound (``[-40:]``, the last 40).  A
+    negative upper bound (``[:-3]``) drops characters and states none."""
+    if bound is None or isinstance(bound, ast.UnaryOp) != from_end:
         return None
     for node in ast.walk(bound):
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value > 0:
@@ -55,7 +56,8 @@ def _width(bound: ast.expr | None) -> str | None:
 def test_one_rule_cuts_every_value_a_message_shows():
     # A message shows a value through laurent.quoted; no f-string formats a
     # slice of its own or a bare repr (``{x!r}``, which neither cuts nor
-    # marks), and the one cut width is stated in laurent alone.
+    # marks), and the one cut width is stated in laurent alone, by the head
+    # and the tail that a cut keeps.
     sliced, reprs, widths = [], [], []
     for path in sorted(Path(toroidal.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -67,11 +69,11 @@ def test_one_rule_cuts_every_value_a_message_shows():
                 whole = getattr(node.value, "slice", None)
                 sliced += [f"{path.name}:{node.lineno}" for sub in ast.walk(node.value)
                            if isinstance(sub, ast.Slice) and (sub.upper is not None or sub is whole)]
-            elif isinstance(node, ast.Slice) and _width(node.upper) is not None:
-                widths.append((path.name, _width(node.upper)))
+            elif isinstance(node, ast.Slice):
+                widths += [(path.name, w) for w in (_width(node.upper), _width(node.lower, True)) if w]
     assert sliced == []
     assert reprs == []
-    assert widths == [("laurent.py", "_MAX_QUOTED")]
+    assert widths == [("laurent.py", "_MAX_QUOTED")] * 2
 
 
 def test_every_grammar_reads_ascii_digits_only():
@@ -82,6 +84,20 @@ def test_every_grammar_reads_ascii_digits_only():
         for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value
+    ]
+    assert found == []
+
+
+def test_every_grammar_reads_ascii_whitespace_only():
+    # ``\s`` and an argument-less ``str.strip`` also take Unicode spaces and
+    # the separators \x1c-\x1f; whitespace is space, tab, CR and LF throughout.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\s" in node.value
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("strip", "lstrip", "rstrip", "split") and not node.args
     ]
     assert found == []
 

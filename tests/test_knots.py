@@ -115,6 +115,9 @@ def test_expression_round_trip():
 KNOT_SYNTAX_ERRORS = [
     ("sum(unknot unknot)", "expected ';' or ')' in sum(...), got 'unknot)'"),
     ("torus(2,3) x", "trailing input in knot expression: 'x'"),
+    # Whitespace is ASCII: space, tab, CR and LF.
+    ("torus(2,\u3000 3)", "malformed knot expression near 'torus(2,\\u3000 3)'"),
+    ("torus(2,3) \x0c", "trailing input in knot expression: '\\x0c'"),
     ("knot", "malformed knot expression near 'knot'"),
     ("", "malformed knot expression near ''"),
     ("sum()", "malformed knot expression near ')'"),
@@ -128,8 +131,8 @@ KNOT_SYNTAX_ERRORS = [
     ("sum(unknot; torus(" + "9" * 5001 + ",2))",
      "torus parameter of 5001 digits exceeds the limit of 1000 digits"),
     # A message quotes at most 60 characters of what it could not read.
-    ("sum(unknot " + "x" * 100 + ")", f"expected ';' or ')' in sum(...), got '{'x' * 59}... (103 characters)"),
-    ("sum(unknot; " + "x" * 100, f"malformed knot expression near '{'x' * 59}... (102 characters)"),
+    ("sum(unknot " + "x" * 100 + ")", f"expected ';' or ')' in sum(...), got '{'x' * 29}...{'x' * 28})' (103 characters)"),
+    ("sum(unknot; " + "x" * 100, f"malformed knot expression near '{'x' * 29}...{'x' * 29}' (102 characters)"),
 ]
 
 

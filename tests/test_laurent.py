@@ -112,9 +112,12 @@ POLY_SYNTAX_ERRORS = [
     ("t t", "polynomial syntax error at position 2: expected '+' or '-', got 't'"),
     ("2 35", "polynomial syntax error at position 2: expected '+' or '-', got '35'"),
     ("t*t", "polynomial syntax error at position 1: expected '+' or '-', got '*'"),
+    # Whitespace is ASCII: space, tab, CR and LF.
+    ("1\x1c- t", "polynomial syntax error at position 1: '\\x1c- t'"),
+    ("\x0c", "polynomial syntax error at position 0: '\\x0c'"),
     # A message quotes at most 60 characters of what it could not read.
-    ("1 + " + "@" * 100, f"polynomial syntax error at position 4: '{'@' * 59}... (102 characters)"),
-    ("2 " + "3" * 100, f"polynomial syntax error at position 2: expected '+' or '-', got '{'3' * 59}... (102 characters)"),
+    ("1 + " + "@" * 100, f"polynomial syntax error at position 4: '{'@' * 29}...{'@' * 29}' (102 characters)"),
+    ("2 " + "3" * 100, f"polynomial syntax error at position 2: expected '+' or '-', got '{'3' * 29}...{'3' * 29}' (102 characters)"),
 ]
 
 

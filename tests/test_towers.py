@@ -583,7 +583,7 @@ def test_mask_errors_quote_by_the_one_rule():
     for mask, message in [
         ("0000", "mask must select at least one knot"),
         ("", "mask must be a nonempty string of 0s and 1s, got ''"),
-        ("0" * 10**5 + "2", f"mask must be a nonempty string of 0s and 1s, got '{'0' * 59}... (100003 characters)"),
+        ("0" * 10**5 + "2", f"mask must be a nonempty string of 0s and 1s, got '{'0' * 29}...{'0' * 28}2' (100003 characters)"),
     ]:
         with pytest.raises(ValueError) as exc:
             mask_tower(mask)
@@ -775,10 +775,10 @@ def test_a_bad_value_is_quoted_in_full_only_when_short():
     for value in [[1, 2], 2.5, "x" * 58]:
         assert message(value) == f"tower: 'initial_genus' must be an integer, got {value!r}"
     assert message("x" * 59) == (
-        f"tower: 'initial_genus' must be an integer, got '{'x' * 59}... (61 characters)"
+        f"tower: 'initial_genus' must be an integer, got '{'x' * 29}...{'x' * 29}' (61 characters)"
     )
     long = message(list(range(200_000)))
-    assert long.endswith(" got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1... (1488890 characters)")
+    assert long.endswith(" got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9,...99996, 199997, 199998, 199999] (1488890 characters)")
 
 
 def test_an_integer_too_long_to_print_is_quoted_by_its_bit_length():
