@@ -74,7 +74,7 @@ import re
 from bisect import bisect_left
 from math import isqrt
 
-from .laurent import ONE, LaurentPoly, kept_fact, quoted, value_type
+from .laurent import ONE, LaurentPoly, _WHITESPACE, _WS, kept_fact, quoted, value_type
 
 __all__ = [
     "MAX_CROSSINGS",
@@ -147,10 +147,10 @@ class Diagram(value_type("Diagram", "crossings edge_arc")):
 MAX_CROSSINGS = 100
 
 # A label past 2 * MAX_CROSSINGS breaks rule 3, so a label of four digits is a syntax error.
-_X = r"X\[" + r",".join([r"[ \t\r\n]*([0-9]{1,3})[ \t\r\n]*"] * 4) + r"\]"
+_X = r"X\[" + ",".join([_WS + "*([0-9]{1,3})" + _WS + "*"] * 4) + r"\]"
 _X_RE = re.compile(_X)
 # The longest run of separators and crossings: it ends at the first bad token.
-_PD_BODY = re.compile(rf"(?:[ \t\r\n,]+|{_X})*")
+_PD_BODY = re.compile(rf"(?:[{_WHITESPACE},]+|{_X})*")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -161,15 +161,15 @@ def parse_pd(text: str) -> Diagram:
     sequentially labeled knot diagrams or that have more than
     :data:`MAX_CROSSINGS` crossings.
     """
-    start = len(text) - len(text.lstrip(" \t\r\n"))  # where "PD[" must stand
-    close = len(text.rstrip(" \t\r\n")) - 1  # where "]" must stand
+    start = len(text) - len(text.lstrip(_WHITESPACE))  # where "PD[" must stand
+    close = len(text.rstrip(_WHITESPACE)) - 1  # where "]" must stand
     if not text.startswith("PD[", start):
         raise PDSyntaxError("expected 'PD['", 0)
     if text[close] != "]":
         raise PDSyntaxError("expected closing ']'", len(text))
     pos = _PD_BODY.match(text, start + 3, close).end()
     if pos < close:
-        rest = text[pos:close].rstrip(" \t\r\n")
+        rest = text[pos:close].rstrip(_WHITESPACE)
         raise PDSyntaxError(f"expected X[a,b,c,d], got {quoted(rest)}", pos)
     quads = [tuple(map(int, quad)) for quad in _X_RE.findall(text, start + 3, close)]
     if len(quads) > MAX_CROSSINGS:

@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Iterable
 from math import gcd
 
-from .laurent import ONE, LaurentPoly, _term_pairs, parse_poly, quoted, value_type
+from .laurent import ONE, LaurentPoly, _WHITESPACE, _WS, _term_pairs, parse_poly, quoted, value_type
 
 __all__ = [
     "KnotExpr",
@@ -299,9 +299,9 @@ TABLE_KNOTS: dict[str, Table] = {
     "5_2": Table("5_2", genus=1, delta=parse_poly("2 - 3*t + 2*t^2"), prime=True),
 }
 
-_TORUS_RE = re.compile(r"[ \t\r\n]*torus\([ \t\r\n]*([0-9]+)[ \t\r\n]*,[ \t\r\n]*([0-9]+)[ \t\r\n]*\)")
-_TABLE_RE = re.compile(r"table\([ \t\r\n]*([A-Za-z0-9_]+)[ \t\r\n]*\)")
-_SPACE = re.compile(r"[ \t\r\n]*")
+_TORUS_RE = re.compile(rf"{_WS}*torus\({_WS}*([0-9]+){_WS}*,{_WS}*([0-9]+){_WS}*\)")
+_TABLE_RE = re.compile(rf"table\({_WS}*([A-Za-z0-9_]+){_WS}*\)")
+_SPACE = re.compile(f"{_WS}*")
 
 # Parsing recurses once per ``sum(`` level; the cap keeps deep input a
 # ValueError.  It costs nothing, since normalizing flattens sums.
@@ -314,7 +314,7 @@ _MAX_TORUS_DIGITS = 1000
 
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot-expression grammar; the result is normalized."""
-    text = text.strip(" \t\r\n")
+    text = text.strip(_WHITESPACE)
     expr, pos = _parse_expr(text, 0)
     if pos < len(text):  # the stripped text ends in no whitespace
         raise ValueError(f"trailing input in knot expression: {quoted(text[_SPACE.match(text, pos).end():])}")

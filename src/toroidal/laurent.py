@@ -19,9 +19,10 @@ The text form accepted by :func:`parse_poly` and produced by ``str()`` is
 
 with terms printed in ascending exponent order, e.g. ``1 - t + t^2`` or
 ``t^-1 + t``.  ``INT`` is a run of ASCII digits ``0-9``; ASCII whitespace
-(space, tab, CR, LF) is ignored when parsing, and no other.  Every message of the package shows a value it was
-given, unknown command-line words and file paths included, through
-:func:`quoted`: one rule, which escapes control characters and cuts.
+(space, tab, CR, LF), and no other, is ignored when parsing.  Every
+message of the package shows a value it was given, unknown command-line
+words and file paths included, through :func:`quoted`: one rule, which
+escapes control characters and cuts.
 """
 
 from __future__ import annotations
@@ -264,11 +265,15 @@ T = LaurentPoly({1: 1})
 
 # One token each: INT, a power of t, or an operator.  _LEXED spans the
 # longest run of tokens and whitespace, so it ends at the first bad character.
-# _TERM takes one optional term and the whitespace around it.
+# _TERM takes one optional term and the whitespace around it.  _WHITESPACE
+# is what every grammar of the package skips, as characters to strip and as
+# the regex class _WS.
+_WHITESPACE = " \t\r\n"
+_WS = f"[{_WHITESPACE}]"
 _TPOW = r"t(?:\^-?[0-9]+)?"
 _TOKEN = re.compile(rf"[0-9]+|{_TPOW}|[+*-]")
-_LEXED = re.compile(rf"(?:[ \t\r\n]+|{_TOKEN.pattern})*")
-_TERM = re.compile(rf"[ \t\r\n]*(?:([0-9]+)(?:[ \t\r\n]*(\*)[ \t\r\n]*({_TPOW})?)?|({_TPOW}))?[ \t\r\n]*")
+_LEXED = re.compile(rf"(?:{_WS}+|{_TOKEN.pattern})*")
+_TERM = re.compile(rf"{_WS}*(?:([0-9]+)(?:{_WS}*(\*){_WS}*({_TPOW})?)?|({_TPOW}))?{_WS}*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -282,10 +287,10 @@ def parse_poly(text: str) -> LaurentPoly:
     pos = _LEXED.match(text).end()
     if pos < len(text):
         raise ValueError(f"polynomial syntax error at position {pos}: {quoted(text[pos:])}")
-    if not text.strip(" \t\r\n"):
+    if not text.strip(_WHITESPACE):
         raise ValueError("empty polynomial text")
     terms: dict[int, int] = {0: 0}
-    pos = len(text) - len(text.lstrip(" \t\r\n"))
+    pos = len(text) - len(text.lstrip(_WHITESPACE))
     while True:
         # The first term's sign is optional; every later one has its sign.
         sign = -1 if text[pos] == "-" else 1

@@ -89,17 +89,25 @@ def test_every_grammar_reads_ascii_digits_only():
 
 
 def test_every_grammar_reads_ascii_whitespace_only():
-    # ``\s`` and an argument-less ``str.strip`` also take Unicode spaces and
-    # the separators \x1c-\x1f; whitespace is space, tab, CR and LF throughout.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\s" in node.value
-        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("strip", "lstrip", "rstrip", "split") and not node.args
-    ]
+    # ``\s`` and an argument-less ``str.strip`` or ``split`` also take Unicode
+    # spaces and the separators \x1c-\x1f; whitespace is space, tab, CR and LF
+    # throughout, stated once as laurent._WHITESPACE: every strip passes it,
+    # and no other string constant names a tab.
+    found, stated = [], []
+    for path in sorted(Path(toroidal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "\\s" in node.value:
+                    found.append(f"{path.name}:{node.lineno}")
+                if "\t" in node.value or "\\t" in node.value:
+                    stated.append(path.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                args = [ast.unparse(arg) for arg in node.args]
+                if (node.func.attr in ("strip", "lstrip", "rstrip") and args != ["_WHITESPACE"]
+                        or node.func.attr == "split" and not args):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
+    assert stated == ["laurent.py"]
 
 
 def _private_definitions(statement: ast.stmt) -> list[str]:
