@@ -60,7 +60,6 @@ from os import PathLike
 
 from .knots import (
     MAX_GENUS,
-    UNKNOT,
     InvariantUnavailable,
     KnotExpr,
     Sum,
@@ -104,7 +103,6 @@ __all__ = [
     "genus_of_tower",
     "is_unknotted_tower",
     "tower_alexander",
-    "reembed_unknotted",
     "homeo_attractor_verdict",
     "flow_attractor_verdict",
     "distinguish_connected_sums",
@@ -739,44 +737,6 @@ def tower_alexander(tower: Tower) -> LaurentPoly:
             yield pattern, stage.winding
 
     return satellite_alexander(steps())
-
-
-def reembed_unknotted(tower: Tower) -> Tower:
-    """Re-embed past the genus stabilization index, unknotting the tower.
-
-    Once the chain reaches its final exact value, every later pattern is
-    trivial (the genus inequality forces it), so re-embedding by the
-    framing that unknots the stabilized torus yields an unknotted tower:
-    initial core the unknot, later stages kept with trivial patterns.  The
-    forced stages drop their declared genera, which counted the knotting
-    that the re-embedding removes.
-    """
-    g = tower._genus_result
-    if g.is_infinite:
-        raise PreconditionError("InfiniteGenus", "an infinite-genus tower never stabilizes")
-    if not g.is_exact:
-        raise PreconditionError("GenusNotExact", "stabilization needs an exact genus")
-    if g.value == 0:
-        return tower
-
-    # The exact genus is the last chain state's bound, so the index exists.
-    split = tower._states.index((g.value, True))
-
-    def forced(stage: Stage) -> Stage:
-        if stage.kind is _CORE_PARALLEL:
-            return core_parallel()
-        return generic(stage.winding, 0, ONE, None, stage.concentric)
-
-    # The stages past the split, up to the start of a cycle pass (none when
-    # the split ends a pass).
-    n, c = len(tower.prefix), len(tower.cycle)
-    rest = tower.prefix[split:] if split <= n else tower.cycle[(split - n) % c or c :]
-    return Tower(
-        name=f"{tower.name} (unknotted reembedding)",
-        initial=UNKNOT,
-        prefix=[forced(s) for s in rest],
-        cycle=[forced(s) for s in tower.cycle],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from toroidal.towers import (
     homeo_attractor_verdict,
     is_unknotted_tower,
     r_of_toroidal,
-    reembed_unknotted,
     swallow,
     tower_alexander,
     tower_from_dict,
@@ -198,7 +197,6 @@ def test_classifiers_refuse_invalid_towers():
         genus_of_tower,
         is_unknotted_tower,
         tower_alexander,
-        reembed_unknotted,
         homeo_attractor_verdict,
         flow_attractor_verdict,
         r_of_toroidal,
@@ -431,52 +429,6 @@ def test_tower_alexander_stable_under_prefix_refinement():
             UNKNOT, prefix=[swallow(TREFOIL)] + [core_parallel()] * extra
         )
         assert tower_alexander(refined) == reference
-
-
-# -- re-embedding -------------------------------------------------------------
-
-
-def test_reembed_tame_trefoil():
-    out = reembed_unknotted(CAT["tame_trefoil"])
-    assert out.initial == UNKNOT
-    assert all(s.kind is StageKind.CORE_PARALLEL for s in out.cycle)
-    assert is_unknotted_tower(out)
-
-
-def test_reembed_unknotted_tower_is_identity():
-    t = CAT["dyadic_solenoid"]
-    assert reembed_unknotted(t) is t
-
-
-def test_reembed_refuses_infinite_genus():
-    with pytest.raises(PreconditionError) as exc:
-        reembed_unknotted(CAT["infinite_trefoil_sum"])
-    assert exc.value.reason == "InfiniteGenus"
-
-
-def test_reembed_refuses_a_genus_that_is_not_exact():
-    with pytest.raises(PreconditionError) as exc:
-        reembed_unknotted(tower(TREFOIL, cycle=[generic(1, pattern_genus=0)]))
-    assert exc.value.reason == "GenusNotExact"
-
-
-def test_reembed_drops_a_core_parallel_declared_genus():
-    # The declaration pins the genus of the knotted tower; the re-embedded
-    # tower is unknotted, where the same declaration would contradict it.
-    t = tower_from_dict({"initial": "torus(2,3)", "cycle": [{"kind": "core_parallel", "declared_genus": 1}]})
-    assert str(genus_of_tower(t)) == "exact:1"
-    out = reembed_unknotted(t)
-    assert validate_tower(out).ok
-    assert out.cycle == (core_parallel(),)
-    assert is_unknotted_tower(out)
-
-
-def test_reembed_mid_prefix_stabilization():
-    t = tower(UNKNOT, prefix=[swallow(TREFOIL), core_parallel()], cycle=[core_parallel()])
-    out = reembed_unknotted(t)
-    assert out.initial == UNKNOT
-    assert len(out.prefix) == 1
-    assert is_unknotted_tower(out)
 
 
 # -- attractor verdicts --------------------------------------------------------
@@ -911,7 +863,6 @@ def test_walk_is_kept_per_value(monkeypatch):
     # Every classifier reads the facts the tower keeps.
     assert cech_h1(tame).h1 is H1Class.Z and str(genus_of_tower(tame)) == "exact:120"
     assert not is_unknotted_tower(tame)
-    reembedded = reembed_unknotted(tame)
     assert str(tower_alexander(tame)) == report["alexander"]
     assert homeo_attractor_verdict(tame).tag == report["homeo_verdict"]
     assert flow_attractor_verdict(tame).tag == report["flow_verdict"]
@@ -923,7 +874,6 @@ def test_walk_is_kept_per_value(monkeypatch):
     # A copy is a new value: it derives each fact once more.
     assert build_report(tame._replace()) == report
     assert calls == {"_walk": 2, "_cohomology": 2, "_genus": 2}
-    assert is_unknotted_tower(reembedded)
     assert report == build_report(Tower(walked.name, UNKNOT, walked.prefix, (core_parallel(),)))
     bad = walked._replace(cycle=(wind(2, declared_genus=0),))
     assert not validate_tower(bad).ok
@@ -991,9 +941,6 @@ def _assert_classifiers_consistent(t: Tower) -> None:
         assert not homeo.obstructed and coh.h1 is H1Class.Z, t
 
     assert is_unknotted_tower(t) == (g.kind is GenusKind.EXACT and g.value == 0)
-
-    if g.kind is GenusKind.EXACT:
-        assert is_unknotted_tower(reembed_unknotted(t)), t
 
 
 def test_chain_stays_at_zero_where_h1_is_not_finitely_generated():
