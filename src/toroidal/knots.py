@@ -258,7 +258,7 @@ def satellite_alexander(steps: Iterable[tuple[KnotExpr | LaurentPoly, int]]) -> 
                 f"which exceeds twice the genus limit {MAX_GENUS}"
             )
         if w == 0 or delta is ONE:
-            delta = factor  # the inner torus sits in a ball, or the core is the unknot
+            delta = factor  # Seifert's formula: D_core(t^0) = D_core(1) = +-1, and D_unknot = 1
         else:
             core = delta.subst_power(w)
             pairs = _term_pairs(pairs, factor, core)

@@ -31,10 +31,10 @@ Classifiers
 Genus bookkeeping tracks a pair ``(bound, exact)``.  Three facts let the
 chain stay exact: a concentric or core-parallel stage preserves the core
 knot type; a swallow stage forms a connected sum, and genus is additive;
-and when the outer torus has winding zero around the inner one, or is
-exactly unknotted, the preferred framing extends over the ambient space,
-so the inner core's knot type equals the pattern's.  Every other stage
-only yields the inequality above.
+and when the outer torus is exactly unknotted, the preferred framing
+extends over the ambient space, so the inner core's knot type equals the
+pattern's.  Every other stage only yields the inequality above, winding
+zero included: a Whitehead double of a knotted core has genus one.
 
 Each fact is computed once, when first read, and kept on the frozen value
 it derives from by :class:`~toroidal.laurent.kept_fact`, which takes no
@@ -353,9 +353,11 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
     bound, exact = state
     kind, w, _, _, d, concentric, _ = stage
     plb, pexact, _ = stage._pattern
-    # The inner torus sits in a ball, or the outer torus is exactly
-    # unknotted; either way its core has the pattern's knot type.
-    reset = w == 0 or (exact and bound == 0)
+    # Over an exactly unknotted outer torus the inner core has the pattern's
+    # knot type.  At winding 0 over any other core the inner torus need not
+    # sit in a ball (a Whitehead double does not), so only the pattern's
+    # bound holds: the last branch below.
+    reset = exact and bound == 0
     if reset:
         out = (plb, pexact)
     elif concentric and not stage._faults:
@@ -665,17 +667,21 @@ def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
     if h1 is not H1Class.TRIVIAL and any(s._pattern[0] > 0 for s in tower.cycle):
         return GenusResult(GenusKind.INFINITE, None, GenusRule.STRONGLY_KNOTTED)
 
-    # The last state, after the walk's second cycle pass, is the fixed point:
-    # a second pass ends where the first did.  A winding-0 stage, or a
-    # declared genus (all hold on a valid tower), sets the chain to a value
-    # independent of what enters it.  Past the return above, every cycle
-    # pattern bound is zero and every winding is one or the bound stays zero,
-    # so each other stage keeps the bound and at most clears exactness.  With
-    # every winding at least one the chain never falls: a stage maps a bound
-    # b to b, b + g or w*b + g, and a declared genus below that value makes
-    # the tower invalid.  So where the first cohomology is not finitely
-    # generated and every winding is at least one, a positive bound anywhere
-    # on the chain is positive here, and gives the winding blowup.
+    # The last state, after the walk's second cycle pass, is the fixed point
+    # wherever the genus is finite: a third pass would end where the second
+    # did.  No stage's bound depends on whether the entering state is exact,
+    # and from the second pass on every pass reads the same bounds: a
+    # winding-0 stage or a declared genus (all hold on a valid tower) sets
+    # the bound whatever enters it, and past the return above a cycle with
+    # neither has zero pattern bounds, so it keeps the bound, or multiplies a
+    # positive one and gives the blowup below.  Over the same bounds a pass
+    # maps exactness by a monotone map of one bit, and such a map is
+    # idempotent.  With every winding at least one the chain never falls: a
+    # stage maps a bound b to b, b + g or w*b + g, and a declared genus below
+    # that value makes the tower invalid.  So where the first cohomology is
+    # not finitely generated and every winding is at least one, a positive
+    # bound anywhere on the chain is positive here, and gives the winding
+    # blowup.
     bound, exact = states[-1]
     if h1 is H1Class.NOT_FINITELY_GENERATED and bound > 0:
         return GenusResult(GenusKind.INFINITE, None, GenusRule.WINDING_BLOWUP)

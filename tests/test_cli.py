@@ -206,8 +206,8 @@ def test_genus_limit_exit_2(tmp_path):
         # No pattern genus: the genus doubles while the terms triple.
         fold_tower(14, 2, "1 - t + t^1000000", None),
         # The polynomial grows past the limit, then a winding-0 stage
-        # leaves a genus-0 tower.
-        fold_tower(16, 3, "1 - t + t^2", 1, [{"kind": "generic", "w": 0, "pattern_genus": 0}]),
+        # declared unknotted leaves a genus-0 tower.
+        fold_tower(16, 3, "1 - t + t^2", 1, [{"kind": "generic", "w": 0, "pattern_genus": 0, "declared_genus": 0}]),
     ]:
         path.write_text(json.dumps(doc))
         code, out, err = run(["tower", "report", str(path)])
@@ -267,7 +267,7 @@ def test_product_limit_is_per_computation(tmp_path):
         "initial": "unknot",
         "prefix": [
             {"kind": "swallow", "knot": long_sum},
-            {"kind": "generic", "w": 0, "pattern_genus": 0},
+            {"kind": "generic", "w": 0, "pattern_genus": 0, "declared_genus": 0},
         ] * 3,
         "cycle": [{"kind": "core_parallel"}],
     }

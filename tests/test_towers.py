@@ -39,6 +39,7 @@ from toroidal.towers import (
     validate_tower,
     wind,
     _prime_factors,
+    _stage_transfer,
     _unrolled,
 )
 
@@ -374,6 +375,21 @@ def test_genus_trivial_tower_with_knotted_tail_stays_lower_bound_zero():
     t = tower(UNKNOT, cycle=[generic(0, pattern_genus=1, pattern_delta=parse_poly("1 - t + t^2"))])
     g = genus_of_tower(t)
     assert g.kind is GenusKind.LOWER_BOUND and g.value == 0
+
+
+def test_winding_zero_over_a_knotted_core_only_bounds_the_genus():
+    # The same stage data describe the untwisted Whitehead double of the
+    # trefoil, which has genus 1: Schubert's inequality gives only g >= 0.
+    from toroidal.reports import build_report
+
+    t = Tower("t", TREFOIL, prefix=(generic(0, 0, ONE),), cycle=(core_parallel(),))
+    report = build_report(t)
+    assert report["genus"] == "lower_bound:0"
+    assert report["unknotted"] is False
+    assert report["alexander_status"] == "unavailable:GenusNotExact"
+    solenoid = t._replace(cycle=(wind(2),))
+    assert str(genus_of_tower(solenoid)) == "lower_bound:0"
+    assert not is_unknotted_tower(solenoid)
 
 
 def test_unknottedness():
@@ -908,17 +924,34 @@ def test_swallow_polynomials_are_computed_only_by_the_fold(monkeypatch):
 # -- randomized consistency suite ----------------------------------------
 
 
-def test_second_cycle_pass_ends_where_the_first_did():
+def test_third_cycle_pass_ends_where_the_second_did():
     # The genus reads the chain after the walk's second cycle pass as its
-    # fixed point; past the infinite-genus rules, a third pass would add nothing.
+    # fixed point; past the infinite-genus rules, a third pass adds nothing.
     checked = 0
     for t in random_valid_towers(seed=9, count=2000):
         if genus_of_tower(t).is_infinite:
             continue
-        n, c = len(t.prefix), len(t.cycle)
-        assert t._states[n + c] == t._states[n + 2 * c], t
+        state = t._states[-1]
+        for stage in t.cycle:
+            state, fault = _stage_transfer(state, stage)
+            assert fault is None, t
+        assert state == t._states[-1], t
         checked += 1
     assert checked > 900
+
+
+def test_winding_zero_stage_is_exact_only_over_the_exact_unknot():
+    # An undeclared winding-0 stage gives the pattern's exact genus only where
+    # the entering core is exactly unknotted; elsewhere it need not sit in a
+    # ball, and the pattern's genus is only a lower bound.
+    entered_knotted = 0
+    for t in random_valid_towers(seed=9, count=2000):
+        states = t._states
+        for stage, before, after in zip(_unrolled(t), states, states[1:]):
+            if stage.winding == 0 and stage.declared_genus is None:
+                assert not after[1] or before == (0, True), t
+                entered_knotted += before != (0, True)
+    assert entered_knotted > 500
 
 
 def _assert_classifiers_consistent(t: Tower) -> None:
