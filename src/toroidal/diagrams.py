@@ -247,12 +247,15 @@ def _wirtinger_rows(d: Diagram) -> list[dict[int, tuple[int, int]]]:
     """The Wirtinger matrix as sparse rows (rows: crossings, columns: arcs).
 
     Row ``i`` maps each arc at crossing ``i`` to its entry ``c0 + c1 t``,
-    stored as ``(c0, c1)``; every other entry is zero.
+    stored as ``(c0, c1)``; every other entry is zero, and none is stored.
     """
     rows = []
     for c in d.crossings:
         into = d.edge_arc[c.a - 1]
         out = d.edge_arc[c.c - 1]
+        if into == out:  # one arc, the one-crossing kink's: t - 1 + 1 - t = 0
+            rows.append({})
+            continue
         row = {into: (0, 1), out: (-1, 0)} if c.sign > 0 else {into: (-1, 0), out: (0, 1)}
         over = d.edge_arc[c.over_in - 1]
         c0, c1 = row.get(over, (0, 0))

@@ -257,6 +257,9 @@ def test_one_crossing_kink():
     assert alexander_from_diagram(d) == ONE
     assert seifert_genus_upper(d) == 0
     assert genus_bounds(d) == (0, 0)
+    # Its one arc is over, incoming and outgoing: t - 1 + 1 - t = 0, either sign.
+    for code in ("PD[X[1,2,2,1]]", "PD[X[2,1,1,2]]"):
+        assert _wirtinger_rows(parse_pd(code)) == [{}]
 
 
 # -- the trefoil matrix, checked by hand ------------------------------------
@@ -364,6 +367,10 @@ def test_alexander_minor_meets_its_bound_and_matches_cofactor_expansion(quads):
     # The premise of the closed-form bound 6^((n - 1) / 2): every row's
     # entries t, -1 and 1 - t, or fewer when arcs coincide.
     assert all(sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()) <= 6 for row in rows)
+    # Each row of a Wirtinger matrix sums to zero at every t, and holds no zero entry.
+    for row in rows:
+        assert tuple(map(sum, zip((0, 0), *row.values()))) == (0, 0)
+        assert (0, 0) not in row.values()
     if d.n <= 8:
         minor = [row[:-1] for row in dense(rows, d.n)[:-1]]
         assert _alexander_minor(d, d.n - 1, d.n - 1) == cofactor_det(minor).canonical()
