@@ -354,9 +354,7 @@ def _stage_transfer(state: tuple[int, bool], stage: Stage) -> tuple[tuple[int, b
     kind, w, _, _, d, concentric, _ = stage
     plb, pexact, _ = stage._pattern
     # Over an exactly unknotted outer torus the inner core has the pattern's
-    # knot type.  At winding 0 over any other core the inner torus need not
-    # sit in a ball (a Whitehead double does not), so only the pattern's
-    # bound holds: the last branch below.
+    # knot type; at winding 0 it need not sit in a ball (a Whitehead double).
     reset = exact and bound == 0
     if reset:
         out = (plb, pexact)
@@ -669,19 +667,18 @@ def _genus(tower: Tower, states: tuple[tuple[int, bool], ...]) -> GenusResult:
 
     # The last state, after the walk's second cycle pass, is the fixed point
     # wherever the genus is finite: a third pass would end where the second
-    # did.  No stage's bound depends on whether the entering state is exact,
-    # and from the second pass on every pass reads the same bounds: a
-    # winding-0 stage or a declared genus (all hold on a valid tower) sets
-    # the bound whatever enters it, and past the return above a cycle with
-    # neither has zero pattern bounds, so it keeps the bound, or multiplies a
-    # positive one and gives the blowup below.  Over the same bounds a pass
-    # maps exactness by a monotone map of one bit, and such a map is
-    # idempotent.  With every winding at least one the chain never falls: a
-    # stage maps a bound b to b, b + g or w*b + g, and a declared genus below
-    # that value makes the tower invalid.  So where the first cohomology is
-    # not finitely generated and every winding is at least one, a positive
-    # bound anywhere on the chain is positive here, and gives the winding
-    # blowup.
+    # did.  A stage's bound does not depend on whether its entering state is
+    # exact, and from the second pass on each pass reads the same bounds: a
+    # winding-0 stage or a declared genus (all hold on a valid tower) sets the
+    # bound whatever enters, and past the return above a cycle with neither
+    # has zero pattern bounds, so it keeps the bound or multiplies a positive
+    # one into the blowup below.  A pass then maps exactness monotonically,
+    # and a monotone map of one bit is idempotent.  With every winding at
+    # least one the chain never falls: a stage maps a bound b to b, b + g or
+    # w*b + g, and a declared genus below that value makes the tower invalid.
+    # So where the first cohomology is not finitely generated and every
+    # winding is at least one, a positive bound anywhere on the chain is
+    # positive here, and gives the winding blowup.
     bound, exact = states[-1]
     if h1 is H1Class.NOT_FINITELY_GENERATED and bound > 0:
         return GenusResult(GenusKind.INFINITE, None, GenusRule.WINDING_BLOWUP)

@@ -369,7 +369,7 @@ def test_alexander_minor_meets_its_bound_and_matches_cofactor_expansion(quads):
     assert all(sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()) <= 6 for row in rows)
     # Each row of a Wirtinger matrix sums to zero at every t, and holds no zero entry.
     for row in rows:
-        assert tuple(map(sum, zip((0, 0), *row.values()))) == (0, 0)
+        assert sum(c0 for c0, _ in row.values()) == 0 and sum(c1 for _, c1 in row.values()) == 0
         assert (0, 0) not in row.values()
     if d.n <= 8:
         minor = [row[:-1] for row in dense(rows, d.n)[:-1]]

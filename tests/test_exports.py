@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -135,14 +136,19 @@ def _references(statement: ast.stmt) -> set[str]:
     return out
 
 
-def test_every_private_helper_is_used_by_the_library():
-    # A module-level private name serves the library: some other top-level
-    # statement of the package reads it, so none survives only for the tests.
-    statements = [
-        (path.name, statement)
+def _package_statements() -> list[tuple[str, ast.stmt]]:
+    """Each top-level statement of the package, with its module's name."""
+    return [
+        (path.stem, statement)
         for path in sorted(Path(toroidal.__file__).parent.glob("*.py"))
         for statement in ast.parse(path.read_text(encoding="utf-8")).body
     ]
+
+
+def test_every_private_helper_is_used_by_the_library():
+    # A module-level private name serves the library: some other top-level
+    # statement of the package reads it, so none survives only for the tests.
+    statements = _package_statements()
     references = [_references(statement) for _, statement in statements]
     defined = [(i, module, name) for i, (module, statement) in enumerate(statements)
                for name in _private_definitions(statement)]
@@ -150,3 +156,22 @@ def test_every_private_helper_is_used_by_the_library():
     unused = [f"{module}:{name}" for i, module, name in defined
               if not any(name in refs for j, refs in enumerate(references) if j != i)]
     assert unused == []
+
+
+def test_every_public_function_is_read_or_documented():
+    # A function in a module's ``__all__`` has a reader: another top-level
+    # statement of the package, the acceptance tests, or the README, which
+    # documents it for users; none survives only for the unit tests.
+    statements = _package_statements()
+    references = [_references(statement) for _, statement in statements]
+    here = Path(__file__).parent
+    outside = _references(ast.parse((here / "test_acceptance.py").read_text(encoding="utf-8")))
+    outside |= set(re.findall(r"\w+", (here.parent / "README.md").read_text(encoding="utf-8")))
+    public = [(i, module, statement.name) for i, (module, statement) in enumerate(statements)
+              if isinstance(statement, ast.FunctionDef)
+              and statement.name in importlib.import_module(f"toroidal.{module}").__all__]
+    assert public
+    unread = [f"{module}:{name}" for i, module, name in public
+              if name not in outside
+              and not any(name in refs for j, refs in enumerate(references) if j != i)]
+    assert unread == []
