@@ -1,17 +1,10 @@
 """Built-in example towers and the binary-mask connected-sum family."""
 
-from __future__ import annotations
-
-import os
-from pathlib import Path
-
 from .knots import Torus, UNKNOT
 from .laurent import quoted
-from .towers import Tower, core_parallel, generic, load_tower, swallow, wind
+from .towers import Tower, core_parallel, generic, swallow, wind
 
-__all__ = ["built_in_towers", "mask_tower", "catalog", "resolve", "CATALOG_DIR_ENV"]
-
-CATALOG_DIR_ENV = "TOROIDAL_CATALOG_DIR"
+__all__ = ["built_in_towers", "mask_tower", "resolve"]
 
 
 def built_in_towers() -> dict[str, Tower]:
@@ -82,23 +75,11 @@ def mask_tower(mask: str, prefix_len: int = 8) -> Tower:
     )
 
 
-def catalog() -> dict[str, Tower]:
-    """Catalog of towers: built-ins plus any ``*.json`` files in the
-    directory named by ``TOROIDAL_CATALOG_DIR``, which override built-ins
-    of the same name."""
-    out = built_in_towers()
-    directory = os.environ.get(CATALOG_DIR_ENV)
-    if directory:
-        for path in sorted(Path(directory).glob("*.json")):
-            out[path.stem] = load_tower(path)
-    return out
-
-
 def resolve(name: str) -> Tower:
     """Look up a catalog tower; ``mask:<bits>`` builds a mask-family tower."""
     if name.startswith("mask:"):
         return mask_tower(name[len("mask:"):])
-    towers = catalog()
+    towers = built_in_towers()
     if name not in towers:
         raise ValueError(f"unknown catalog tower {quoted(name)}; 'toroidal catalog list' names them all")
     return towers[name]

@@ -119,10 +119,10 @@ def _run_towers(command: str, action: str, arg: str | None, as_json: bool, out, 
         if command == "tower":
             tower = load_tower(arg)
         else:
-            from .catalog import catalog, resolve
+            from .catalog import built_in_towers, resolve
 
             if action == "list":
-                names = sorted(catalog())
+                names = sorted(built_in_towers())
                 text = "\n".join(names) + "\n" + "mask:<bits>  (generated family)\n"
                 _emit({"towers": names, "mask_family": "mask:<bits>"}, text, as_json, out)
                 return 0

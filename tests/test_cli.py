@@ -8,14 +8,12 @@ import sys
 import time
 from datetime import timedelta
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import pd_text, torus_2_pd
 from toroidal import cli
-from toroidal.catalog import CATALOG_DIR_ENV
 from toroidal.cli import main
 from toroidal.knots import Torus
 from toroidal.laurent import LaurentPoly, quoted
@@ -389,41 +387,6 @@ def test_json_flag_works_in_both_positions():
     assert before == after
 
 
-def test_catalog_dir_override(tmp_path, monkeypatch):
-    doc = {"name": "custom", "initial": "unknot", "cycle": [{"kind": "core_parallel"}]}
-    (tmp_path / "custom.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("TOROIDAL_CATALOG_DIR", str(tmp_path))
-    code, out, _ = run(["catalog", "list"])
-    assert code == 0 and "custom" in out
-    code, out, _ = run(["--json", "catalog", "report", "custom"])
-    assert code == 0 and json.loads(out)["genus"] == "exact:0"
-
-
-def test_an_unreadable_catalog_file_fails_every_catalog_command(tmp_path, monkeypatch):
-    # Files in the catalog directory override built-ins, so the catalog is
-    # read whole before any name is resolved; a mask name reads no file.
-    (tmp_path / "good.json").write_text(json.dumps({"initial": "unknot", "cycle": [{"kind": "core_parallel"}]}))
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(_NOT_UTF8_JSON)
-    monkeypatch.setenv(CATALOG_DIR_ENV, str(tmp_path))
-    for argv in (["catalog", "list"], ["catalog", "report", "whitehead"],
-                 ["catalog", "report", "good"], ["catalog", "report", "nope"]):
-        code, out, err = run(argv)
-        assert code == 2 and out == "", argv
-        assert err.startswith(f"error: {quoted(str(bad))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
-        assert err.count("\n") == 1
-        assert "/bad.json'" in err  # however deep the directory, a cut keeps the file name
-    assert run(["catalog", "report", "mask:1"])[0] == 0
-
-
-def test_invalid_catalog_file_is_an_invalid_tower(tmp_path, monkeypatch):
-    doc = {"initial": "unknot", "cycle": [{"kind": "wind", "w": -3}]}
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("TOROIDAL_CATALOG_DIR", str(tmp_path))
-    for argv in (["catalog", "list"], ["catalog", "report", "whitehead"]):
-        assert run(argv) == (2, "", "invalid tower:\ncycle[0]: MalformedStage: negative winding -3\n")
-
-
 # -- modules each subcommand loads ---------------------------------------------
 
 _LOADED_MODULES = """
@@ -470,8 +433,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         assert typing_loaded == dataclasses_loaded == inspect_loaded == "False", argv
         # The command table is the parser: no process pays for argparse or its gettext.
         assert parser_loaded == ["False", "False"], argv
-        # Only the catalog, which reads a directory of tower files, loads pathlib.
-        assert pathlib_loaded == "False" or "catalog" in modules, argv
+        # No subcommand reads a directory: none pays for pathlib.
+        assert pathlib_loaded == "False", argv
 
 
 # -- hostile input ------------------------------------------------------------
@@ -554,7 +517,6 @@ _NOT_UTF8 = b"\xff\xfePD[X[1,4,2,5]]"
 _DEEP_JSON = "[" * 10**5
 _DEEP_NAME = '{"initial": "unknot", "name": %s, "cycle": []}' % ("[" * 995 + "]" * 995)
 _LONG_NAME = json.dumps({"initial": "unknot", "name": list(range(200_000)), "cycle": []})
-_NOT_UTF8_JSON = b"\xff{}"
 _LONG_INITIAL = json.dumps({"initial": "unknot " + "x" * 10**5, "cycle": [{"kind": "core_parallel"}]})
 _LONG_INTEGER = '{"initial": "unknot", "cycle": [{"kind": "wind", "w": %s}]}' % ("9" * 5000)
 _BAD_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 - t +"}]})
@@ -573,8 +535,6 @@ _GENUS_INITIAL = json.dumps({"initial": _TOO_LONG_GENUS, "cycle": [{"kind": "cor
 _LONG_DELTA = json.dumps({"initial": "unknot", "cycle": [{"w": 1, "pattern_delta": "1 " + "1" * 10**5}]})
 _LONG_PATH = "a" * 10**5
 _TRUNCATED_JSON = '{"initial": '
-# A catalog directory of 50 towers with 197-character names.
-_LONG_CATALOG_NAMES = {f"{i:02d}{'n' * 195}.json": b'{"initial": "unknot", "cycle": []}' for i in range(50)}
 _HOSTILE_FILES = [
     (["tower", "report"], _DIRECTORY, "Is a directory"),
     (["diagram", "genus"], _DIRECTORY, "Is a directory"),
@@ -584,19 +544,16 @@ _HOSTILE_FILES = [
     (["tower", "report"], _DEEP_NAME, "nested too deeply"),
 ]
 # Inputs whose message once named the wrong thing or had no bound: a long
-# bad value, a PD body that repeats its own prefix, a catalog file that is
-# not UTF-8, long unread knot text in an argument or a tower file, an
-# integer too long to convert, grammar errors in a tower file's fields, a
-# long mask, torus parameters too long to read, in an argument or a tower
-# file, a long path, a catalog of many long names, and digits other than
-# ASCII 0-9 in each grammar.  A catalog command finds its files in the
-# catalog directory; ``{name}`` stands for how a message shows the file
-# ``name`` there, its path quoted.  "-" and a negative number are words, not
-# options: a file name and a catalog name.
+# bad value, a PD body that repeats its own prefix, long unread knot text in
+# an argument or a tower file, an integer too long to convert, grammar
+# errors in a tower file's fields, a long mask, torus parameters too long to
+# read, in an argument or a tower file, a long path, and digits other than
+# ASCII 0-9 in each grammar.  ``{name}`` stands for how a message shows the
+# file ``name`` in the test's directory, its path quoted.  "-" and a
+# negative number are words, not options: a file name and a catalog name.
 _BAD_VALUES = [
     (["tower", "report", _FILE], _LONG_NAME, "tower: 'name' must be a string, got [0, 1, 2,"),
     (["diagram", "genus", _FILE], "PD[PD[]", "PD syntax error at position 3: expected X[a,b,c,d], got 'PD['"),
-    (["catalog", "report", "whitehead"], _NOT_UTF8_JSON, "{bad.json}: not UTF-8 text"),
     (["knot", "genus", "unknot " + "x" * 10**5], None, "trailing input in knot expression: 'xxx"),
     (["knot", "genus", f"table({'a' * 10**5})"], None, "unknown table knot 'aaa"),
     (["tower", "report", _FILE], _LONG_INITIAL, "tower: 'initial': trailing input in knot expression: 'xxx"),
@@ -626,8 +583,6 @@ _BAD_VALUES = [
     (["diagram", "genus", _LONG_PATH], None, "File name too long: 'aaa"),
     (["tower", "report", _LONG_PATH], None, "File name too long: 'aaa"),
     (["tower", "report", _DOTTED_FILE], _TRUNCATED_JSON, "characters): not valid JSON: Expecting value"),
-    (["catalog", "report", "nope"], _LONG_CATALOG_NAMES,
-     "unknown catalog tower 'nope'; 'toroidal catalog list' names them all"),
     (["diagram", "genus", "-"], None, "No such file or directory: '-'"),
     (["catalog", "report", "-5"], None, "unknown catalog tower '-5'"),
     (["knot", "genus", "torus(\u0662,\u0663)"], None, "malformed knot expression near 'torus(\u0662,\u0663)'"),
@@ -650,20 +605,12 @@ _BAD_USAGE = [
 
 
 def _run_with_input(directory: Path | None, argv: list, content) -> tuple[int, str, str]:
-    """Run ``argv`` with ``content`` in its ``_FILE`` or ``_DOTTED_FILE``
-    argument or, for a catalog command, in the catalog directory: as
-    ``bad.json``, or as the files a dict names."""
-    env = {}
+    """Run ``argv`` with ``content`` in its ``_FILE`` or ``_DOTTED_FILE`` argument."""
     if _FILE in argv or _DOTTED_FILE in argv:
         path = _input_file(directory, content)
         dotted = os.path.join(directory, "./" * 1900 + "input")
         argv = [{_FILE: path, _DOTTED_FILE: dotted}.get(arg, arg) for arg in argv]
-    elif content is not None:
-        for name, data in (content if isinstance(content, dict) else {"bad.json": content}).items():
-            (directory / name).write_bytes(data)
-        env[CATALOG_DIR_ENV] = str(directory)
-    with mock.patch.dict(os.environ, env):
-        return run(argv)
+    return run(argv)
 
 
 def _naming(problem: str, directory: Path) -> str:
@@ -742,11 +689,11 @@ def test_unreadable_file_exits_2_naming_the_problem(tmp_path, command, content, 
 @pytest.mark.parametrize(
     "argv, content, problem",
     _BAD_VALUES,
-    ids=["long-name", "pd-prefix", "catalog-bytes", "long-trailing-text", "long-table-name",
+    ids=["long-name", "pd-prefix", "long-trailing-text", "long-table-name",
          "long-initial", "long-integer", "bad-delta", "bad-knot", "bad-initial", "long-mask",
          "huge-torus", "huge-torus-initial", "huge-torus-knot", "long-torus", "long-genus",
          "long-tower-genus", "long-catalog-name", "long-delta-token", "long-label", "label-past-int-limit",
-         "long-diagram-path", "long-tower-path", "long-path-to-bad-json", "many-long-catalog-names",
+         "long-diagram-path", "long-tower-path", "long-path-to-bad-json",
          "dash-is-a-file", "negative-number-is-a-name", "non-ascii-torus", "non-ascii-delta",
          "non-ascii-label"],
 )
