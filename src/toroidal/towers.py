@@ -822,14 +822,17 @@ def flow_attractor_verdict(tower: Tower) -> FlowVerdict:
             "h1_not_z",
             "a toroidal attractor of a flow must have first Cech cohomology Z",
         )
-    cycle = tower.cycle
-    if all(s.concentric for s in cycle):
+    # A swallow stage whose knot has exact genus 0 ties in the unknot, which is
+    # the identity, so it is as concentric as a flagged stage.
+    concentric = [s.concentric or (s.kind is _SWALLOW and s._pattern[1] and s._pattern[0] == 0)
+                  for s in tower.cycle]
+    if all(concentric):
         return FlowVerdict(
             True,
             "eventually_concentric",
             "all cycle stages are concentric, so the basis is eventually concentric",
         )
-    mixed = any(s.concentric for s in cycle)
+    mixed = any(concentric)
     return FlowVerdict(
         False,
         "persistently_non_concentric",

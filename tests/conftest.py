@@ -106,6 +106,19 @@ def drop_outer_stage(t: Tower) -> list[Tower]:
     return [t._replace(initial=initial, prefix=rest, initial_genus=outer.declared_genus)]
 
 
+def unknot_swallow_as_core_parallel(t: Tower) -> list[Tower]:
+    """M5: one swallow stage of the unknot replaced by a core-parallel stage
+    with the same declared genus; tying in the unknot changes nothing."""
+    out = []
+    for part in ("prefix", "cycle"):
+        stages = getattr(t, part)
+        for i, stage in enumerate(stages):
+            if stage.kind is StageKind.SWALLOW and stage.knot == UNKNOT:
+                parallel = core_parallel()._replace(declared_genus=stage.declared_genus)
+                out.append(t._replace(**{part: (*stages[:i], parallel, *stages[i + 1 :])}))
+    return out
+
+
 def torus_2_pd(n: int) -> str:
     """PD code of the (2, n) torus knot for odd ``n >= 3``.
 

@@ -8,7 +8,13 @@ from math import isqrt
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from conftest import double_cycle, drop_outer_stage, random_valid_towers, swap_prefix_swallows
+from conftest import (
+    double_cycle,
+    drop_outer_stage,
+    random_valid_towers,
+    swap_prefix_swallows,
+    unknot_swallow_as_core_parallel,
+)
 from toroidal.catalog import built_in_towers, mask_tower
 from toroidal.knots import TABLE_KNOTS, Sum, Table, Torus, UNKNOT, alexander_of_knot
 from toroidal.laurent import ONE, ZERO, parse_poly
@@ -514,6 +520,16 @@ def test_flow_mixed_cycle_is_flagged():
     assert verdict.note is not None and "mixed" in verdict.note
 
 
+def test_a_swallowed_unknot_is_concentric():
+    # Tying in the unknot is the identity, so this tower is the tame trefoil.
+    assert flow_attractor_verdict(tower(TREFOIL, cycle=[swallow(UNKNOT)])) == flow_attractor_verdict(
+        CAT["tame_trefoil"]
+    )
+    verdict = flow_attractor_verdict(tower(TREFOIL, cycle=[swallow(UNKNOT), wind(1)]))
+    assert verdict.tag == "not_realizable:persistently_non_concentric"
+    assert verdict.note is not None and "mixed" in verdict.note
+
+
 # -- connected-sum inequivalence ------------------------------------------------
 
 
@@ -1012,12 +1028,11 @@ def _report_but_name(t: Tower) -> dict:
 def test_a_move_that_keeps_the_set_keeps_the_report(seed):
     # Each move presents the same toroidal set, and every report field but
     # the name is a property of the set.  The moves that do not hold yet
-    # (rotating or unrolling the cycle, dropping an outer wind stage, a
-    # swallowed unknot for a core-parallel stage) join as the rules behind
-    # them are mended.
+    # (rotating or unrolling the cycle, dropping an outer wind stage) join as
+    # the rules behind them are mended.
     for t in random_valid_towers(seed, 300):
         expected = _report_but_name(t)
-        for move in (double_cycle, swap_prefix_swallows, drop_outer_stage):
+        for move in (double_cycle, swap_prefix_swallows, drop_outer_stage, unknot_swallow_as_core_parallel):
             for moved in move(t):
                 assert validate_tower(moved).ok, (move.__name__, t)
                 assert _report_but_name(moved) == expected, (move.__name__, t)
