@@ -189,7 +189,7 @@ class Stage(value_type(
         if w < 0:
             bad((_MALFORMED, f"negative winding {quoted(w)}"))
         if w > _MAX_WINDING:
-            bad((_MALFORMED, f"winding {quoted(w)} exceeds the limit 2^40"))
+            bad((_MALFORMED, f"winding {quoted(w)} exceeds the limit 2^{_MAX_WINDING.bit_length() - 1}"))
         if genus is not None and genus < 0:
             bad((_MALFORMED, f"negative pattern genus {quoted(genus)}"))
         if declared is not None and declared < 0:
